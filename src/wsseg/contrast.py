@@ -1,5 +1,13 @@
 """Timestamp-constrained hybrid hard example mining and the
-sample-to-prototype InfoNCE loss.
+sample-to-prototype InfoNCE loss, in array form.
+
+A mined batch holds A (anchor, positive, negatives) pairs as three
+arrays over the C classes of the prototype bank:
+
+- ``anchors`` (A,): the sample index of each pair; an index may repeat;
+- ``pos_w`` (A, C): the positive as weights over prototypes, one-hot for
+  a regular pair or 0.5/0.5 for a two-class mixture positive;
+- ``neg`` (A, C): a boolean mask of the negative prototypes.
 
 Anchors mix uniformly random positions with "hard" ones whose cosine
 against their own positive prototype is closest to -1. Negative
@@ -7,7 +15,8 @@ prototypes per anchor are the hardest 60% (highest similarity), thinned
 to a random 50%; percentages round up. Samples between two timestamps
 whose prediction matches neither flanking class contribute an extra pair:
 the wrongly predicted class as negative, the equal-weight mixture of the
-two flanking prototypes as positive.
+two flanking prototypes as positive. Regular pairs come first, in anchor
+order, then constraint pairs in sample order.
 
 Prototype rows act as constants here (stop-gradient): the bank evolves
 only through its momentum updates, so the loss returns gradients for the
@@ -20,27 +29,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ContrastPair:
-    anchor: int  # sample index
-    pos_classes: tuple  # one class, or two for a mixture positive
-    pos_weights: tuple
-    neg_classes: tuple
-
-    def __post_init__(self):
-        if set(self.pos_classes) & set(self.neg_classes):
-            raise ValueError("a class cannot be both positive and negative")
-
-
 @dataclass
 class ContrastBatch:
-    pairs: list
+    anchors: np.ndarray  # (A,) sample indices
+    pos_w: np.ndarray  # (A, C) positive-mixture weights
+    neg: np.ndarray  # (A, C) negative mask
+
+    def __post_init__(self):
+        self.anchors = np.asarray(self.anchors, dtype=np.int64)
+        self.pos_w = np.asarray(self.pos_w, dtype=np.float64)
+        self.neg = np.asarray(self.neg, dtype=bool)
+        if self.pos_w.ndim != 2 or self.pos_w.shape != self.neg.shape \
+                or self.anchors.shape != self.pos_w.shape[:1]:
+            raise ValueError("anchors must be (A,), pos_w and neg (A, C)")
+        if np.any((self.pos_w != 0.0) & self.neg):
+            raise ValueError("a class cannot be both positive and negative")
 
     def __len__(self):
-        return len(self.pairs)
+        return self.anchors.size
 
-    def __bool__(self):
-        return bool(self.pairs)
+
+def _empty(num_classes):
+    return ContrastBatch(np.zeros(0), np.zeros((0, num_classes)), np.zeros((0, num_classes)))
 
 
 def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=64):
@@ -52,106 +62,96 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
     are initialized.
     """
     rng = np.random.default_rng(seed)
+    c = bank.num_classes
     init = bank.initialized_classes()
     if init.size < 2:
-        return ContrastBatch([])
-    init_set = set(int(c) for c in init)
-    t_len = vn.shape[1]
+        return _empty(c)
+    is_init = bank.initialized
+    parts = []  # (anchors, pos_w, neg) of the regular, then the constraint pairs
 
-    eligible = np.flatnonzero(np.isin(mask_classes, init))
-    pairs = []
+    eligible = np.flatnonzero(is_init[mask_classes])
     if eligible.size:
         n = min(anchor_count, eligible.size)
         n_rand = math.ceil(n / 2)
         rand_pick = rng.choice(eligible, size=n_rand, replace=False)
-        chosen = set(int(t) for t in rand_pick)
+        chosen = rand_pick
         n_hard = n - n_rand
         if n_hard > 0:
             rest = eligible[~np.isin(eligible, rand_pick)]
             # hardness: cosine with own positive prototype closest to -1
             own = (vn[:, rest] * bank.p[mask_classes[rest]].T).sum(axis=0)
             order = np.argsort(own, kind="stable")[:n_hard]
-            chosen.update(int(t) for t in rest[order])
-        for t in sorted(chosen):
-            pos = int(mask_classes[t])
-            negs = _select_negatives(vn[:, t], pos, init, bank, rng)
-            pairs.append(
-                ContrastPair(anchor=t, pos_classes=(pos,), pos_weights=(1.0,), neg_classes=negs)
-            )
+            chosen = np.concatenate([rand_pick, rest[order]])
+        anchors = np.sort(chosen)
+        pos = mask_classes[anchors]
+        # negatives: of the initialized classes other than the positive,
+        # the hardest 60% by similarity (stable on ties), then a random 50%
+        sims = vn[:, anchors].T @ bank.p[init].T
+        sims[init[None, :] == pos[:, None]] = -np.inf
+        k_hard = math.ceil(0.6 * (init.size - 1))
+        pools = init[np.argsort(-sims, axis=1, kind="stable")[:, :k_hard]]
+        k_keep = math.ceil(0.5 * k_hard)
+        # one draw per anchor, in anchor order; drawing positions in the
+        # pool takes the same random numbers as drawing from the pool
+        picks = np.array([rng.choice(k_hard, size=k_keep, replace=False) for _ in anchors])
+        idx = np.arange(anchors.size)
+        neg = np.zeros((anchors.size, c), dtype=bool)
+        neg[idx[:, None], np.take_along_axis(pools, picks, axis=1)] = True
+        pos_w = np.zeros((anchors.size, c))
+        pos_w[idx, pos] = 1.0
+        parts.append((anchors, pos_w, neg))
 
-    predicted = np.argmax(y_prob, axis=0)
-    positions = annotations.positions
-    classes = annotations.classes
-    for n_idx in range(len(positions) - 1):
-        lo, hi = int(positions[n_idx]), int(positions[n_idx + 1])
-        ca, cb = int(classes[n_idx]), int(classes[n_idx + 1])
-        if not {ca, cb} <= init_set:
-            continue
-        for t in range(lo + 1, min(hi, t_len)):
-            wrong = int(predicted[t])
-            if wrong in (ca, cb) or wrong not in init_set:
-                continue
-            if ca == cb:
-                pos_classes, pos_weights = (ca,), (1.0,)
-            else:
-                pos_classes, pos_weights = (ca, cb), (0.5, 0.5)
-            pairs.append(
-                ContrastPair(
-                    anchor=t,
-                    pos_classes=pos_classes,
-                    pos_weights=pos_weights,
-                    neg_classes=(wrong,),
-                )
-            )
-    return ContrastBatch(pairs)
+    # constraint pairs: t strictly between timestamps n and n+1, predicted
+    # as an initialized class other than both flanking classes
+    positions, classes = annotations.positions, annotations.classes
+    if positions.size >= 2:
+        t = np.arange(positions[0] + 1, min(positions[-1], vn.shape[1]))
+        interval = np.searchsorted(positions, t, side="right") - 1
+        inside = positions[interval] != t
+        t, interval = t[inside], interval[inside]
+        ca, cb = classes[interval], classes[interval + 1]
+        wrong = np.argmax(y_prob[:, t], axis=0)
+        keep = is_init[ca] & is_init[cb] & is_init[wrong] & (wrong != ca) & (wrong != cb)
+        t, ca, cb, wrong = t[keep], ca[keep], cb[keep], wrong[keep]
+        idx = np.arange(t.size)
+        pos_w = np.zeros((t.size, c))
+        pos_w[idx, ca] += 0.5
+        pos_w[idx, cb] += 0.5  # ca == cb gives weight 1
+        neg = np.zeros((t.size, c), dtype=bool)
+        neg[idx, wrong] = True
+        parts.append((t, pos_w, neg))
 
-
-def _select_negatives(v_t, pos, init, bank, rng):
-    candidates = np.array([c for c in init if c != pos], dtype=np.int64)
-    if candidates.size == 0:
-        return ()
-    sims = bank.p[candidates] @ v_t
-    k_hard = math.ceil(0.6 * candidates.size)
-    order = np.argsort(-sims, kind="stable")[:k_hard]
-    pool = candidates[order]
-    k_keep = math.ceil(0.5 * pool.size)
-    keep = rng.choice(pool, size=k_keep, replace=False)
-    return tuple(int(c) for c in np.sort(keep))
+    if not parts:
+        return _empty(c)
+    return ContrastBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def info_nce(batch, vn, bank, tau, with_grad=False):
     """Mean InfoNCE over the batch; optionally the gradient wrt ``vn``.
 
-    Per anchor: -log( exp(v.P_pos/tau) / sum_{c in {pos} u negs} exp(v.P_c/tau) ).
-    Mixture positives use the weighted prototype vector. Anchors without
-    negatives contribute -log 1 = 0.
+    Per anchor: -log( exp(v.P_pos/tau) / sum_{c in {pos} u negs} exp(v.P_c/tau) ),
+    with P_pos = pos_w @ P. Anchors without negatives contribute
+    -log 1 = 0. The gradient of anchor a is
+    ((s_pos - 1) P_pos + sum_c s_c P_c) / tau over its softmax weights s,
+    averaged over the batch and scattered onto the anchor's column.
     """
     if tau <= 0.0:
         raise ValueError("temperature must be positive")
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    loss = 0.0
-    d_vn = np.zeros_like(vn) if with_grad else None
-    for pair in batch.pairs:
-        v = vn[:, pair.anchor]
-        p_pos = np.zeros(vn.shape[0])
-        for c, w in zip(pair.pos_classes, pair.pos_weights):
-            p_pos += w * bank.p[c]
-        protos = [p_pos] + [bank.p[c] for c in pair.neg_classes]
-        logits = np.array([v @ p for p in protos]) / tau
-        shift = logits.max()
-        exp = np.exp(logits - shift)
-        total = exp.sum()
-        loss += float(np.log(total) + shift - logits[0])
-        if with_grad:
-            soft = exp / total
-            grad = -p_pos / tau
-            for p, s in zip(protos, soft):
-                grad = grad + (s / tau) * p
-            d_vn[:, pair.anchor] += grad
-    n = len(batch.pairs)
-    loss /= n
-    if with_grad:
-        d_vn /= n
-        return loss, d_vn
-    return loss
+    v = vn[:, batch.anchors].T  # (A, dim)
+    logits = v @ bank.p.T / tau  # (A, C)
+    s_pos = (batch.pos_w * logits).sum(axis=1)
+    s_neg = np.where(batch.neg, logits, -np.inf)
+    shift = np.maximum(s_pos, s_neg.max(axis=1))
+    e_pos = np.exp(s_pos - shift)
+    e_neg = np.exp(s_neg - shift[:, None])
+    total = e_pos + e_neg.sum(axis=1)
+    a = len(batch)
+    loss = float((np.log(total) + shift - s_pos).sum() / a)
+    if not with_grad:
+        return loss
+    coef = ((e_pos / total - 1.0)[:, None] * batch.pos_w + e_neg / total[:, None]) / (tau * a)
+    d_vn = np.zeros_like(vn)
+    np.add.at(d_vn.T, batch.anchors, coef @ bank.p)
+    return loss, d_vn

@@ -97,35 +97,29 @@ def l_conf(y_prob, positions, classes, with_grad=False, warn=True):
         if with_grad:
             return 0.0, np.zeros_like(y_prob)
         return 0.0
+    if np.any(np.diff(positions) <= 0):
+        raise ValueError("timestamp positions must be strictly increasing")
     t_prime = 2.0 * (positions[-1] - positions[0])
     clamped = np.maximum(y_prob, CLAMP)
     logp = np.log(clamped)
-    loss = 0.0
-    grad = np.zeros_like(y_prob) if with_grad else None
-    for idx in range(n):
-        t_n = int(positions[idx])
-        c = int(classes[idx])
-        lo = int(positions[idx - 1]) if idx > 0 else t_n
-        hi = int(positions[idx + 1]) if idx < n - 1 else t_n
-        for t in range(lo + 1, hi + 1):
-            # pair (t-1, t): fully right of the timestamp -> probabilities may
-            # not rise moving right; at or left of it -> may not rise moving left
-            if t > t_n:
-                viol = logp[c, t] - logp[c, t - 1]
-                sign = 1.0
-            else:
-                viol = logp[c, t - 1] - logp[c, t]
-                sign = -1.0
-            if viol > 0.0:
-                loss += viol
-                if with_grad:
-                    grad[c, t] += sign / clamped[c, t]
-                    grad[c, t - 1] -= sign / clamped[c, t - 1]
-    loss = float(loss / t_prime)
-    if with_grad:
-        grad /= t_prime
-        return loss, grad
-    return loss
+    # every pair (t-1, t) with t in (t_k, t_{k+1}] lies right of timestamp
+    # k, whose class may not rise moving right (sign +1), and at or left of
+    # timestamp k+1, whose class may not rise moving left (sign -1)
+    t = np.arange(positions[0] + 1, positions[-1] + 1)
+    k = np.searchsorted(positions, t) - 1
+    c = np.concatenate([classes[k], classes[k + 1]])
+    t = np.concatenate([t, t])
+    sign = np.repeat([1.0, -1.0], k.size)
+    viol = sign * (logp[c, t] - logp[c, t - 1])
+    hit = viol > 0.0
+    loss = float(viol[hit].sum() / t_prime)
+    if not with_grad:
+        return loss
+    c, t, sign = c[hit], t[hit], sign[hit] / t_prime
+    grad = np.zeros_like(y_prob)
+    np.add.at(grad, (c, t), sign / clamped[c, t])
+    np.add.at(grad, (c, t - 1), -sign / clamped[c, t - 1])
+    return loss, grad
 
 
 def l_cls(logits, targets, include_background=False, with_grad=False):

@@ -315,12 +315,16 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
 
 def _regenerate_pseudo(train_set, annotations, aug, state, config, only=None, existing=None):
     out = existing if existing is not None else {}
+    unconverged = solved = 0
     for idx, (item, ann) in enumerate(zip(train_set, annotations)):
         if only is not None and idx not in only:
             continue
-        labels, _, _ = generate_pseudo_for_sequence(
+        labels, plan, _ = generate_pseudo_for_sequence(
             item.sequence.data, ann, state.bank, state.params, config
         )
+        if plan is not None:
+            solved += 1
+            unconverged += not plan.converged
         if labels is None:
             out[idx] = None
             continue
@@ -330,6 +334,12 @@ def _regenerate_pseudo(train_set, annotations, aug, state, config, only=None, ex
             y[:, pos] = 0.0
             y[cls, pos] = 1.0
         out[idx] = y
+    if unconverged:
+        warnings.warn(
+            f"Sinkhorn did not converge within ot_max_iters={config.ot_max_iters} for"
+            f" {unconverged} of {solved} sequences; their pseudo-labels come from the"
+            " last iterate"
+        )
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wsseg import net as net_mod
-from wsseg.contrast import ContrastBatch, ContrastPair, info_nce
+from wsseg.contrast import ContrastBatch, info_nce
 from wsseg.losses import l_cls, l_conf, l_seg_all, l_seg_timestamps, l_smooth
 from wsseg.otrans import TransportProblem, sinkhorn, solve_order_preserving
 from wsseg.proto import PrototypeBank, update_bank
@@ -104,11 +104,11 @@ def test_criterion_1_gradients():
     for c in range(3):
         p = rng.standard_normal(4)
         update_bank(bank, c, p / np.linalg.norm(p))
-    batch = ContrastBatch([
-        ContrastPair(0, (0,), (1.0,), (1, 2)),
-        ContrastPair(3, (1, 2), (0.5, 0.5), (0,)),
-        ContrastPair(6, (2,), (1.0,), (1,)),
-    ])
+    batch = ContrastBatch(
+        anchors=[0, 3, 6],
+        pos_w=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+        neg=[[False, True, True], [True, False, False], [False, True, False]],
+    )
     _, g = info_nce(batch, vn, bank, tau=0.1, with_grad=True)
     assert_grad_close(g, central_difference(
         lambda: info_nce(batch, vn, bank, tau=0.1), vn))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from wsseg.contrast import ContrastBatch, ContrastPair, info_nce, mine_pairs
+from wsseg.contrast import ContrastBatch, info_nce, mine_pairs
 from wsseg.proto import PrototypeBank, update_bank
 from wsseg.seqdata import TimestampAnnotations
 
 from conftest import assert_grad_close, central_difference
+from loop_reference import info_nce_loop, mine_pairs_loop, to_batch
 
 
 def _bank(vectors, momentum=0.9):
@@ -22,6 +23,10 @@ def _bank(vectors, momentum=0.9):
 def _unit_rows(rng, n, dim):
     m = rng.standard_normal((n, dim))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def _is_mixture(batch):
+    return (batch.pos_w > 0.0).sum(axis=1) == 2
 
 
 def _setup(rng, t_len=40, c=4, dim=6):
@@ -47,8 +52,8 @@ def test_mine_two_class_pool_degenerates_to_single_negative(rng):
     y_prob = rng.dirichlet(np.ones(2), size=40).T
     ann2 = TimestampAnnotations(np.array([5, 20]), np.array([0, 1]))
     batch = mine_pairs(vn, mask, y_prob, ann2, bank, seed=3)
-    regular = [p for p in batch.pairs if len(p.pos_classes) == 1]
-    assert regular and all(len(p.neg_classes) == 1 for p in regular)
+    regular = ~_is_mixture(batch)
+    assert regular.any() and np.all(batch.neg[regular].sum(axis=1) == 1)
 
 
 def test_mine_no_constraint_pairs_when_predictions_agree(rng):
@@ -60,7 +65,7 @@ def test_mine_no_constraint_pairs_when_predictions_agree(rng):
     y_prob[1, : t_len // 2] = 1.0  # every prediction matches a flanking class
     y_prob[2, t_len // 2 :] = 1.0
     batch = mine_pairs(vn, mask, y_prob, ann, bank, seed=1, anchor_count=8)
-    assert all(len(p.pos_classes) == 1 for p in batch.pairs)
+    assert len(batch) and not _is_mixture(batch).any()
 
 
 def test_mine_constraint_pairs_for_misclassified_middle(rng):
@@ -73,45 +78,61 @@ def test_mine_constraint_pairs_for_misclassified_middle(rng):
     y_prob[:, 7] = 0.0
     y_prob[3, 7] = 1.0  # class 3 is neither flanking class
     batch = mine_pairs(vn, mask, y_prob, ann, bank, seed=1, anchor_count=8)
-    mixtures = [p for p in batch.pairs if len(p.pos_classes) == 2]
-    assert len(mixtures) == 1
-    pair = mixtures[0]
-    assert pair.anchor == 7
-    assert pair.pos_classes == (1, 2) and pair.pos_weights == (0.5, 0.5)
-    assert pair.neg_classes == (3,)
+    mixtures = np.flatnonzero(_is_mixture(batch))
+    assert mixtures.size == 1
+    i = mixtures[0]
+    assert batch.anchors[i] == 7
+    np.testing.assert_array_equal(batch.pos_w[i], [0.0, 0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(np.flatnonzero(batch.neg[i]), [3])
 
 
 def test_mine_deterministic(rng):
     vn, bank, mask, y_prob, ann = _setup(rng)
     a = mine_pairs(vn, mask, y_prob, ann, bank, seed=77)
     b = mine_pairs(vn, mask, y_prob, ann, bank, seed=77)
-    assert a.pairs == b.pairs
+    for field in ("anchors", "pos_w", "neg"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_mine_never_shares_pos_and_neg(rng):
     for seed in range(10):
         vn, bank, mask, y_prob, ann = _setup(rng)
         batch = mine_pairs(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=16)
-        for p in batch.pairs:
-            assert not set(p.pos_classes) & set(p.neg_classes)
+        assert len(batch)
+        assert not ((batch.pos_w > 0.0) & batch.neg).any()
 
 
-def test_contrast_pair_rejects_overlap():
+def test_contrast_batch_rejects_overlap():
     with pytest.raises(ValueError):
-        ContrastPair(anchor=0, pos_classes=(1,), pos_weights=(1.0,), neg_classes=(1, 2))
+        to_batch([(0, (1,), (1.0,), (1, 2))], 3)
+    with pytest.raises(ValueError):
+        to_batch([(0, (1,), (1.0,), (2,)), (4, (0, 2), (0.5, 0.5), (2,))], 3)
+
+
+def test_contrast_batch_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        ContrastBatch([0, 1], np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
+    with pytest.raises(ValueError):
+        ContrastBatch([0], np.zeros((1, 3)), np.zeros((1, 2), dtype=bool))
+
+
+def test_contrast_batch_length_is_pair_count():
+    batch = to_batch([(0, (0,), (1.0,), (1,)), (0, (1, 2), (0.5, 0.5), (0,))], 3)
+    assert len(batch) == 2 and batch
+    assert not ContrastBatch(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_info_nce_no_negatives_is_zero(rng):
     vn = _unit_rows(rng, 3, 4).T
     bank = _bank(_unit_rows(rng, 2, 4))
-    batch = ContrastBatch([ContrastPair(0, (1,), (1.0,), ())])
+    batch = to_batch([(0, (1,), (1.0,), ())], 2)
     assert info_nce(batch, vn, bank, tau=0.1) == 0.0
 
 
 def test_info_nce_symmetric_similarities_log2():
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[1.0, 0.0], [1.0, 0.0]])  # both prototypes equal: v.P equal
-    batch = ContrastBatch([ContrastPair(0, (0,), (1.0,), (1,))])
+    batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
     loss = info_nce(batch, vn, bank, tau=0.5)
     np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
@@ -120,7 +141,7 @@ def test_info_nce_scalar_oracle():
     # v.P_pos = 1, v.P_neg = -1, tau = 1 -> -log(e / (e + e^-1))
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[1.0, 0.0], [-1.0, 0.0]])
-    batch = ContrastBatch([ContrastPair(0, (0,), (1.0,), (1,))])
+    batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
     loss = info_nce(batch, vn, bank, tau=1.0)
     np.testing.assert_allclose(loss, 0.126928011042972, rtol=1e-10)
 
@@ -128,7 +149,7 @@ def test_info_nce_scalar_oracle():
 def test_info_nce_shift_invariance(rng):
     vn = _unit_rows(rng, 1, 3).T
     base = _unit_rows(rng, 3, 3)
-    batch = ContrastBatch([ContrastPair(0, (0,), (1.0,), (1, 2))])
+    batch = to_batch([(0, (0,), (1.0,), (1, 2))], 3)
     loss_a = info_nce(batch, vn, _bank(base), tau=0.3)
     # adding a constant vector along v to every prototype shifts all
     # similarities of the single anchor equally
@@ -149,20 +170,24 @@ def test_info_nce_nonnegative(rng):
 def test_info_nce_requires_positive_temperature(rng):
     vn = _unit_rows(rng, 2, 3).T
     bank = _bank(_unit_rows(rng, 2, 3))
-    batch = ContrastBatch([ContrastPair(0, (0,), (1.0,), (1,))])
+    batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
     with pytest.raises(ValueError):
         info_nce(batch, vn, bank, tau=0.0)
+    with pytest.raises(ValueError):
+        info_nce(to_batch([], 2), vn, bank, tau=0.1)
 
 
 def test_info_nce_gradient_matches_finite_differences(rng):
     vn = _unit_rows(rng, 6, 4).T.copy()
     bank = _bank(_unit_rows(rng, 3, 4))
-    batch = ContrastBatch(
+    batch = to_batch(
         [
-            ContrastPair(0, (0,), (1.0,), (1, 2)),
-            ContrastPair(2, (1, 2), (0.5, 0.5), (0,)),
-            ContrastPair(4, (2,), (1.0,), (0,)),
-        ]
+            (0, (0,), (1.0,), (1, 2)),
+            (2, (1, 2), (0.5, 0.5), (0,)),
+            (4, (2,), (1.0,), (0,)),
+            (2, (0,), (1.0,), (1,)),  # a repeated anchor accumulates both gradients
+        ],
+        3,
     )
     loss, grad = info_nce(batch, vn, bank, tau=0.1, with_grad=True)
     numeric = central_difference(lambda: info_nce(batch, vn, bank, tau=0.1), vn, step=1e-4)
@@ -172,9 +197,60 @@ def test_info_nce_gradient_matches_finite_differences(rng):
 def test_info_nce_mixture_positive_uses_weighted_vector(rng):
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[0.6, 0.8], [0.6, -0.8], [-1.0, 0.0]])
-    batch = ContrastBatch([ContrastPair(0, (0, 1), (0.5, 0.5), (2,))])
+    batch = to_batch([(0, (0, 1), (0.5, 0.5), (2,))], 3)
     p_mix = 0.5 * bank.p[0] + 0.5 * bank.p[1]
     s_pos = p_mix @ vn[:, 0] / 0.2
     s_neg = bank.p[2] @ vn[:, 0] / 0.2
     want = -(s_pos - np.logaddexp(s_pos, s_neg))
     np.testing.assert_allclose(info_nce(batch, vn, bank, tau=0.2), want, rtol=1e-10)
+
+
+# ------------------------------------------------- loop reference oracles
+
+
+def _random_problem(rng):
+    c = int(rng.integers(2, 8))
+    dim = int(rng.integers(2, 13))
+    t_len = int(rng.integers(5, 260))
+    vn = _unit_rows(rng, t_len, dim).T.copy()
+    bank = PrototypeBank(c, dim)
+    for cls in range(c):
+        if rng.random() < 0.8:
+            update_bank(bank, cls, _unit_rows(rng, 1, dim)[0])
+    mask = rng.integers(0, c, size=t_len)
+    y_prob = rng.dirichlet(np.ones(c), size=t_len).T
+    n = int(rng.integers(0, min(t_len, 8) + 1))
+    positions = np.sort(rng.choice(t_len, size=n, replace=False))
+    ann = TimestampAnnotations(positions, rng.integers(0, c, size=n))
+    return vn, mask, y_prob, ann, bank, int(rng.integers(1, 100))
+
+
+def test_mine_matches_loop_reference():
+    rng = np.random.default_rng(2310)
+    mined = 0
+    for seed in range(200):
+        vn, mask, y_prob, ann, bank, anchor_count = _random_problem(rng)
+        got = mine_pairs(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
+        ref = mine_pairs_loop(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
+        want = to_batch(ref, bank.p.shape[0])
+        for field in ("anchors", "pos_w", "neg"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        mined += len(got) > 0
+    assert mined > 150
+
+
+def test_info_nce_matches_loop_reference():
+    rng = np.random.default_rng(911)
+    checked = 0
+    for seed in range(200):
+        vn, mask, y_prob, ann, bank, anchor_count = _random_problem(rng)
+        pairs = mine_pairs_loop(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
+        if not pairs:
+            continue
+        tau = float(rng.uniform(0.05, 1.0))
+        loss, grad = info_nce(to_batch(pairs, bank.p.shape[0]), vn, bank, tau, with_grad=True)
+        want_loss, want_grad = info_nce_loop(pairs, vn, bank, tau)
+        np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+        checked += 1
+    assert checked > 150

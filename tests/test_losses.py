@@ -15,6 +15,7 @@ from wsseg.losses import (
 )
 
 from conftest import assert_grad_close, central_difference
+from loop_reference import l_conf_loop
 
 
 def _probs(rng, c=3, t=12):
@@ -171,6 +172,13 @@ def test_conf_single_timestamp_warns_and_returns_zero():
         assert l_conf(y, [3], [0]) == 0.0
 
 
+def test_conf_rejects_unordered_timestamps():
+    y = np.full((2, 8), 0.5)
+    for positions in ([5, 2], [3, 3]):
+        with pytest.raises(ValueError):
+            l_conf(y, positions, [0, 1], warn=False)
+
+
 def test_conf_gradient(rng):
     y = _probs(rng)
     positions = np.array([1, 5, 10])
@@ -178,6 +186,41 @@ def test_conf_gradient(rng):
     _, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
     numeric = central_difference(lambda: l_conf(y, positions, classes, warn=False), y)
     assert_grad_close(grad, numeric)
+
+
+def test_conf_matches_loop_reference():
+    rng = np.random.default_rng(2021)
+    for trial in range(200):
+        c = int(rng.integers(2, 7))
+        t = int(rng.integers(3, 160))
+        y = _probs(rng, c=c, t=t)
+        if trial % 3 == 0:  # flat stretches: exact ties leave hinges inactive
+            y = np.round(y, 1) + 1e-3
+        n = int(rng.integers(2, min(t, 10) + 1))
+        positions = np.sort(rng.choice(t, size=n, replace=False))
+        classes = rng.integers(0, c, size=n)
+        loss, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
+        want_loss, want_grad = l_conf_loop(y, positions, classes)
+        assert loss == l_conf(y, positions, classes, warn=False)
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_conf_gradient_random_problems():
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        c = int(rng.integers(2, 5))
+        t = int(rng.integers(4, 16))
+        # kept away from 0, where 1/y curvature spoils a central difference
+        y = 0.5 * _probs(rng, c=c, t=t) + 0.5 / c
+        n = int(rng.integers(2, min(t, 5) + 1))
+        positions = np.sort(rng.choice(t, size=n, replace=False))
+        classes = rng.integers(0, c, size=n)
+        _, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
+        numeric = central_difference(
+            lambda: l_conf(y, positions, classes, warn=False), y, step=1e-6
+        )
+        assert_grad_close(grad, numeric)
 
 
 # ----------------------------------------------------------------- l_cls

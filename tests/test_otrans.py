@@ -25,13 +25,12 @@ def best_2x2_objective(score, alpha, beta, reg, grid=200001):
     """Dense search over the one-parameter family of feasible 2x2 plans."""
     lo = max(0.0, alpha[0] - beta[1])
     hi = min(alpha[0], beta[0])
-    best = -np.inf
-    for q00 in np.linspace(lo, hi, grid):
-        q = np.array(
-            [[q00, alpha[0] - q00], [beta[0] - q00, beta[1] - alpha[0] + q00]]
-        )
-        best = max(best, entropic_objective(q, score, reg))
-    return best
+    q00 = np.linspace(lo, hi, grid)
+    # one column per grid point: the plan entries q00, q01, q10, q11
+    q = np.stack([q00, alpha[0] - q00, beta[0] - q00, beta[1] - alpha[0] + q00])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(q > 0, q * np.log(q), 0.0).sum(axis=0)
+    return float(((q * np.reshape(score, (4, 1))).sum(axis=0) + reg * ent).max())
 
 
 def _uniform_problem(score, reg):

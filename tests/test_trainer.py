@@ -192,6 +192,18 @@ def test_pseudo_phase_runs_and_logs_segall():
     assert all(r["loss_seg"] == 0.0 for r in pseudo_epochs)
 
 
+def test_sinkhorn_nonconvergence_warns_once_per_regeneration():
+    data = _corpus(4, seed=8)
+    with pytest.warns(UserWarning) as record:
+        _, logs = train(data, data[:1], _config(ot_max_iters=1))
+    messages = [str(w.message) for w in record if "Sinkhorn did not converge" in str(w.message)]
+    pseudo_epochs = [r for r in logs if r["phase"] == "pseudo"]
+    assert len(messages) == len(pseudo_epochs) == 2
+    assert all("ot_max_iters=1 for 4 of 4 sequences" in m for m in messages)
+    _, reference_logs = train(data, data[:1], _config())
+    assert [sorted(r) for r in logs] == [sorted(r) for r in reference_logs]
+
+
 def test_evaluate_repeatable_and_chance_level():
     import wsseg.net as net_mod
     from wsseg.proto import PrototypeBank
