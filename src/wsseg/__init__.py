@@ -5,7 +5,6 @@ sample per activity segment, with CAM-derived prototypes, sample-to-
 prototype contrast, and order-preserving optimal transport pseudo-labels.
 """
 
-from .backend import backend_name
 from .losses import LossWeights
 from .metrics import EvalReport, evaluate_many
 from .net import TcnConfig, NetworkOutputs, forward, init_params

@@ -1,60 +1,6 @@
-"""Kernel backend selection: numba-jitted loops or pure numpy.
-
-The hot inner loops (dilated convolutions) have two implementations.
-``WSSEG_BACKEND`` picks one at import time:
-
-* unset or ``auto`` -- numba when importable, numpy otherwise
-* ``numpy``         -- force the pure-numpy reference path
-* ``numba``         -- force numba (warns and falls back if unavailable)
-
-``WSSEG_THREADS`` caps the numba worker-thread pool.
-"""
-
-import os
-import warnings
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    HAS_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        """No-op stand-in so jitted sources stay importable without numba."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+"""Name of the convolution kernels in use; there is only the numpy one."""
 
 
-_requested = os.environ.get("WSSEG_BACKEND", "auto").strip().lower()
-if _requested in ("", "auto"):
-    USE_NUMBA = HAS_NUMBA
-elif _requested == "numpy":
-    USE_NUMBA = False
-elif _requested == "numba":
-    if not HAS_NUMBA:
-        warnings.warn("WSSEG_BACKEND=numba but numba is not importable; using numpy kernels")
-    USE_NUMBA = HAS_NUMBA
-else:
-    raise ValueError(f"unrecognized WSSEG_BACKEND value: {_requested!r}")
-
-if USE_NUMBA:
-    _threads = os.environ.get("WSSEG_THREADS")
-    if _threads:
-        try:
-            n = int(_threads)
-        except ValueError:
-            warnings.warn(f"ignoring non-integer WSSEG_THREADS={_threads!r}")
-        else:
-            numba.set_num_threads(max(1, min(n, numba.config.NUMBA_NUM_THREADS)))
-
-
+# perfbench/run.py prints this; drop the module when the benchmark changes
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

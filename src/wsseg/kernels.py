@@ -1,9 +1,7 @@
 """Dilated 1-D convolution kernels, the hot loops of the network.
 
-Each kernel exists twice: a pure-numpy reference built on padded BLAS
-matmuls, and a numba ``@njit`` loop nest. ``wsseg.backend`` decides which
-pair is exported as ``dilated_conv_forward`` / ``dilated_conv_backward``.
-Both are kept importable so tests and the benchmark can compare them.
+Both kernels are numpy: one BLAS matmul per kernel tap over a zero-padded
+copy of the input.
 
 Array layout is channels-first: activations are ``(channels, T)``, weights
 ``(out_channels, in_channels, kernel_width)``. Temporal length is preserved
@@ -12,10 +10,8 @@ with symmetric zero padding of ``dilation * (kernel_width - 1) // 2``.
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit, prange
 
-
-def dilated_conv_forward_np(x, w, b, dilation):
+def dilated_conv_forward(x, w, b, dilation):
     """out[o, t] = b[o] + sum_{i,k} w[o, i, k] * x_padded[i, t + k*dilation]."""
     cout, cin, kw = w.shape
     t_len = x.shape[1]
@@ -28,7 +24,7 @@ def dilated_conv_forward_np(x, w, b, dilation):
     return out
 
 
-def dilated_conv_backward_np(x, w, dilation, d_out):
+def dilated_conv_backward(x, w, dilation, d_out):
     """Gradients of the forward pass wrt input, weights and bias."""
     cout, cin, kw = w.shape
     t_len = x.shape[1]
@@ -46,78 +42,6 @@ def dilated_conv_backward_np(x, w, dilation, d_out):
     return d_x, d_w, d_b
 
 
-@njit(cache=True, parallel=True)
-def _conv_fwd_nb(x, w, b, dilation):  # pragma: no cover - compiled
-    cout, cin, kw = w.shape
-    t_len = x.shape[1]
-    pad = dilation * (kw - 1) // 2
-    out = np.empty((cout, t_len))
-    for o in prange(cout):
-        for t in range(t_len):
-            out[o, t] = b[o]
-        for i in range(cin):
-            for k in range(kw):
-                off = k * dilation - pad
-                lo = max(0, -off)
-                hi = min(t_len, t_len - off)
-                wv = w[o, i, k]
-                for t in range(lo, hi):
-                    out[o, t] += wv * x[i, t + off]
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _conv_bwd_nb(x, w, dilation, d_out):  # pragma: no cover - compiled
-    cout, cin, kw = w.shape
-    t_len = x.shape[1]
-    pad = dilation * (kw - 1) // 2
-    d_x = np.zeros((cin, t_len))
-    d_w = np.zeros((cout, cin, kw))
-    d_b = np.zeros(cout)
-    for i in prange(cin):
-        for o in range(cout):
-            for k in range(kw):
-                off = k * dilation - pad
-                lo = max(0, -off)
-                hi = min(t_len, t_len - off)
-                wv = w[o, i, k]
-                for t in range(lo, hi):
-                    d_x[i, t + off] += wv * d_out[o, t]
-    for o in prange(cout):
-        acc = 0.0
-        for t in range(t_len):
-            acc += d_out[o, t]
-        d_b[o] = acc
-        for i in range(cin):
-            for k in range(kw):
-                off = k * dilation - pad
-                lo = max(0, -off)
-                hi = min(t_len, t_len - off)
-                s = 0.0
-                for t in range(lo, hi):
-                    s += d_out[o, t] * x[i, t + off]
-                d_w[o, i, k] = s
-    return d_x, d_w, d_b
-
-
-def dilated_conv_forward_nb(x, w, b, dilation):
-    return _conv_fwd_nb(
-        np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(b), dilation
-    )
-
-
-def dilated_conv_backward_nb(x, w, dilation, d_out):
-    return _conv_bwd_nb(
-        np.ascontiguousarray(x),
-        np.ascontiguousarray(w),
-        dilation,
-        np.ascontiguousarray(d_out),
-    )
-
-
-if USE_NUMBA:
-    dilated_conv_forward = dilated_conv_forward_nb
-    dilated_conv_backward = dilated_conv_backward_nb
-else:
-    dilated_conv_forward = dilated_conv_forward_np
-    dilated_conv_backward = dilated_conv_backward_np
+# perfbench/kernel_check.py reads these names; drop them when it changes
+dilated_conv_forward_np = dilated_conv_forward
+dilated_conv_backward_np = dilated_conv_backward

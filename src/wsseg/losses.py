@@ -81,7 +81,7 @@ def l_smooth(y_prob, tau_trunc, with_grad=False):
     return loss, grad
 
 
-def l_conf(y_prob, positions, classes, with_grad=False, warn=True):
+def l_conf(y_prob, positions, classes, with_grad=False):
     """Confidence penalty: around each timestamp, the annotated class's
     log-probability must not increase while moving away from it.
 
@@ -92,8 +92,7 @@ def l_conf(y_prob, positions, classes, with_grad=False, warn=True):
     classes = np.asarray(classes, dtype=np.int64)
     n = positions.size
     if n < 2:
-        if warn:
-            warnings.warn("confidence loss undefined for fewer than two timestamps; returning 0")
+        warnings.warn("confidence loss undefined for fewer than two timestamps; returning 0")
         if with_grad:
             return 0.0, np.zeros_like(y_prob)
         return 0.0
@@ -144,9 +143,6 @@ def l_cls(logits, targets, include_background=False, with_grad=False):
     sig = 1.0 / (1.0 + np.exp(-x))
     grad[sel] = (sig - y) / count
     return loss, grad
-
-
-PHASES = ("warmup", "timestamp", "pseudo")
 
 
 def combined(phase, parts, weights):

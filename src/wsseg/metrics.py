@@ -44,16 +44,10 @@ def _check_pair(pred, truth):
     return pred, truth
 
 
-def accuracy(pred, truth, one_vs_rest=False):
-    """Fraction of matching samples; the one-vs-rest TP/TN form is kept
-    behind a flag for comparability with per-class tabulations."""
+def accuracy(pred, truth):
+    """Fraction of matching samples."""
     pred, truth = _check_pair(pred, truth)
-    matches = int((pred == truth).sum())
-    t = pred.size
-    if not one_vs_rest:
-        return matches / t
-    c = int(max(pred.max(), truth.max())) + 1
-    return 1.0 - 2.0 * (t - matches) / (c * t)
+    return int((pred == truth).sum()) / pred.size
 
 
 def class_average_f(pred, truth, num_classes=None):
@@ -100,6 +94,8 @@ def evaluate_pair(pred, truth, num_classes):
 
 def evaluate_many(pairs, num_classes):
     """Aggregate report over (pred, truth) label-array pairs."""
+    if not pairs:
+        raise ValueError("no (pred, truth) pairs to evaluate")
     tp = np.zeros(num_classes)
     fp = np.zeros(num_classes)
     fn = np.zeros(num_classes)

@@ -106,13 +106,9 @@ def init_params(config, seed):
     return p
 
 
-def dilated_residual_layer(h, wd, bd, wr, br, dilation):
-    """H + W_r * ReLU(W_d (*) H + b_d) + b_r, length-preserving."""
-    out, _ = _residual_layer_cached(h, wd, bd, wr, br, dilation)
-    return out
-
-
 def _residual_layer_cached(h, wd, bd, wr, br, dilation):
+    """H + W_r * ReLU(W_d (*) H + b_d) + b_r, length-preserving; also
+    returns the pre-ReLU conv output for the backward pass."""
     apre = dilated_conv_forward(h, wd, bd, dilation)
     a = np.maximum(apre, 0.0)
     out = h + wr @ a + br[:, None]

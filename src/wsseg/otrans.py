@@ -4,18 +4,14 @@ variant with a diagonal-Gaussian prior.
 The solver maximizes ``Tr(Q^T S) + eps * H(Q)`` over plans with prescribed
 row/column marginals; with a prior ``T`` it maximizes
 ``Tr(Q^T S) - rho * KL(Q || T)``, whose scaling form is
-``diag(u) (exp(S / rho) * T) diag(v)``. Iterations run in the log domain
-by default to survive small regularization; the direct scaling form is
-kept for cross-checking.
+``diag(u) (exp(S / rho) * T) diag(v)``. The scalings are iterated as
+log-domain potentials, so small regularization cannot overflow
+``exp(S / rho)``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class KernelOverflowError(ArithmeticError):
-    """exp(score/reg) left the double range; rescale scores or raise reg."""
 
 
 @dataclass
@@ -57,20 +53,12 @@ class TransportPlan:
     converged: bool
 
 
-def sinkhorn(problem, max_iters=5000, tol=1e-6, method="log"):
+def sinkhorn(problem, max_iters=5000, tol=1e-6):
     """Alternating marginal scaling until the worst marginal deviation
     drops below ``tol`` or ``max_iters`` is hit (progress is then reported
     through the converged flag)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method == "log":
-        return _sinkhorn_log(problem, max_iters, tol)
-    if method == "direct":
-        return _sinkhorn_direct(problem, max_iters, tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _sinkhorn_log(problem, max_iters, tol):
     log_k = problem.score / problem.reg
     if problem.prior is not None:
         log_k = log_k + np.log(problem.prior)
@@ -92,31 +80,6 @@ def _sinkhorn_log(problem, max_iters, tol):
     return TransportPlan(q, iters, float(_residual(q, problem)), False)
 
 
-def _sinkhorn_direct(problem, max_iters, tol):
-    k = np.exp(problem.score / problem.reg)
-    if problem.prior is not None:
-        k = k * problem.prior
-    if not np.all(np.isfinite(k)) or np.any(k.sum(axis=1) == 0) or np.any(k.sum(axis=0) == 0):
-        raise KernelOverflowError(
-            "kernel exp(score/reg) is not finite and positive; rescale scores or raise reg"
-        )
-    u = np.ones_like(problem.alpha)
-    v = np.ones_like(problem.beta)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(problem.alpha > 0, problem.alpha / (k @ v), 0.0)
-            v = np.where(problem.beta > 0, problem.beta / (k.T @ u), 0.0)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise KernelOverflowError("scaling vectors diverged; rescale scores or raise reg")
-        q = u[:, None] * k * v[None, :]
-        residual = _residual(q, problem)
-        if residual <= tol:
-            return TransportPlan(q, iters, float(residual), True)
-    q = u[:, None] * k * v[None, :]
-    return TransportPlan(q, iters, float(_residual(q, problem)), False)
-
-
 def order_prior(n, m, sigma):
     """Gaussian band around the normalized diagonal.
 
@@ -134,7 +97,7 @@ def order_prior(n, m, sigma):
 
 
 def solve_order_preserving(
-    embeddings, prototypes, rho, sigma=1.0, max_iters=5000, tol=1e-6, prior=None, method="log"
+    embeddings, prototypes, rho, sigma=1.0, max_iters=5000, tol=1e-6, prior=None
 ):
     """Transport plan between sample embeddings and class prototypes under
     the diagonal prior; marginals are uniform on both sides.
@@ -154,7 +117,7 @@ def solve_order_preserving(
         reg=rho,
         prior=prior,
     )
-    return sinkhorn(problem, max_iters=max_iters, tol=tol, method=method)
+    return sinkhorn(problem, max_iters=max_iters, tol=tol)
 
 
 def _lse(a, axis):

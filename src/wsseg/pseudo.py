@@ -34,16 +34,6 @@ def count_assignments(q, lo, hi, class_a, class_b):
     return n_a, (hi - lo + 1) - n_a
 
 
-def normalize_two_class(q, t, class_a, class_b):
-    """Scale (q[t,a], q[t,b]) to sum to one; (0.5, 0.5) when both vanish."""
-    qa = float(q[t, class_a])
-    qb = float(q[t, class_b])
-    total = qa + qb
-    if total <= 0.0:
-        return 0.5, 0.5
-    return qa / total, qb / total
-
-
 def generate(q, annotations, eps_hard, num_classes=None):
     """Build pseudo-labels for a full sequence.
 
@@ -90,21 +80,18 @@ def generate(q, annotations, eps_hard, num_classes=None):
             hard[t_n + 1 : t_next] = True
             continue
         n_a, n_b = count_assignments(q, t_n + 1, t_next - 1, a, b)
-        hard_a = int(np.floor(eps_hard * n_a))
-        hard_b = int(np.floor(eps_hard * n_b))
-        if hard_a + hard_b > interior:  # unreachable for consistent counts
-            hard_a = int(np.floor(interior * n_a / (n_a + n_b)))
-            hard_b = interior - hard_a
-        for offset in range(interior):
-            t = t_n + 1 + offset
-            if offset < hard_a:
-                y[a, t] = 1.0
-                hard[t] = True
-            elif offset >= interior - hard_b:
-                y[b, t] = 1.0
-                hard[t] = True
-            else:
-                qa, qb = normalize_two_class(q, t, a, b)
-                y[a, t] = qa
-                y[b, t] = qb
+        # interior = n_a + n_b and eps_hard <= 1, so the hard ends never overlap
+        soft_lo = t_n + 1 + int(np.floor(eps_hard * n_a))
+        soft_hi = t_next - int(np.floor(eps_hard * n_b))
+        y[a, t_n + 1 : soft_lo] = 1.0
+        y[b, soft_hi:t_next] = 1.0
+        hard[t_n + 1 : soft_lo] = True
+        hard[soft_hi:t_next] = True
+        # the plan's two-class distribution; (0.5, 0.5) where both vanish
+        qa, qb = q[soft_lo:soft_hi, a], q[soft_lo:soft_hi, b]
+        total = qa + qb
+        vanish = total <= 0.0
+        total[vanish] = 1.0
+        y[a, soft_lo:soft_hi] = np.where(vanish, 0.5, qa / total)
+        y[b, soft_lo:soft_hi] = np.where(vanish, 0.5, qb / total)
     return PseudoLabels(y=y, hard_mask=hard)

@@ -39,8 +39,15 @@ from .seqdata import (
 CHECKPOINT_VERSION = 1
 
 
+# Retired config keys and the one value each could still hold: older
+# checkpoints and configs carry them, and from_dict drops them.
+RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True}
+
+
 class NonFiniteLossError(RuntimeError):
-    """Training hit a non-finite loss; diagnostics were dumped if possible."""
+    """Training hit a non-finite loss. When ``train`` got a ``diag_dir``,
+    the crop's inputs and outputs were written there as an ``.npz`` and the
+    message names the file; otherwise it says that none were written."""
 
 
 @dataclass
@@ -64,7 +71,6 @@ class TrainConfig:
     use_prototypes: bool = True
     proto_k: int = 8
     proto_momentum: float = 0.9
-    normalize_cams: bool = True
     anchor_count: int = 64
     ot_rho: float = 0.1
     ot_sigma: float = 1.0
@@ -76,7 +82,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    pseudo_per_batch: bool = False
     include_background_cls: bool = False
 
     def __post_init__(self):
@@ -96,6 +101,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        for key, only in RETIRED_KEYS.items():
+            if key in d and d.pop(key) is not only:
+                raise ValueError(
+                    f"config key {key!r} is retired; only {json.dumps(only)} is supported"
+                )
         net = TcnConfig(**d.pop("net"))
         loss = LossWeights(**d.pop("loss", {}))
         return cls(net=net, loss=loss, **d)
@@ -212,7 +222,17 @@ def generate_pseudo_for_sequence(data, annotations, bank, params, config):
 
 def train(train_set, val_set, config, state=None, diag_dir=None):
     """Run (or resume) training; returns the final state and per-epoch log
-    records. Two runs with identical seeds and data produce identical logs."""
+    records. Two runs with identical seeds and data produce identical logs.
+
+    Raises ``ValueError`` when ``train_set`` or ``val_set`` is empty. On a
+    non-finite loss it raises ``NonFiniteLossError``; with a ``diag_dir``
+    the offending crop's diagnostics are first written there as an
+    ``.npz``, without one none are written.
+    """
+    if not train_set:
+        raise ValueError("train_set is empty")
+    if not val_set:
+        raise ValueError("val_set is empty")
     c = config.net.num_classes
     seeds = np.random.SeedSequence(config.seed).spawn(5)
     ss_init, ss_ts, ss_mix, ss_batch, ss_mine = seeds
@@ -264,7 +284,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             "timestamp" if config.use_prototypes else "warmup"
         )
         pseudo_labels = None
-        if phase == "pseudo" and not config.pseudo_per_batch:
+        if phase == "pseudo":
             pseudo_labels = _regenerate_pseudo(train_set, annotations, aug, state, config)
 
         order = rng_batch.permutation(len(crops))
@@ -272,12 +292,6 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         n_batches = 0
         for b0 in range(0, order.size, config.batch_size):
             batch = [crops[i] for i in order[b0 : b0 + config.batch_size]]
-            if phase == "pseudo" and config.pseudo_per_batch:
-                pseudo_labels = _regenerate_pseudo(
-                    train_set, annotations, aug, state, config,
-                    only={cr.seq_idx for cr in batch},
-                    existing=pseudo_labels,
-                )
             parts_mean = _train_batch(
                 batch, train_set, state, config, phase, pseudo_labels, rng_mine, diag_dir
             )
@@ -313,12 +327,10 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     return state, logs
 
 
-def _regenerate_pseudo(train_set, annotations, aug, state, config, only=None, existing=None):
-    out = existing if existing is not None else {}
+def _regenerate_pseudo(train_set, annotations, aug, state, config):
+    out = {}
     unconverged = solved = 0
     for idx, (item, ann) in enumerate(zip(train_set, annotations)):
-        if only is not None and idx not in only:
-            continue
         labels, plan, _ = generate_pseudo_for_sequence(
             item.sequence.data, ann, state.bank, state.params, config
         )
@@ -382,9 +394,7 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
                 parts["smooth"] = parts.get("smooth", 0.0) + val / stages
                 dy[s] += weights.lambda_s * g / stages
             if weights.lambda_conf > 0 and len(crop.ann) >= 2:
-                val, g = losses_mod.l_conf(
-                    y, crop.ann.positions, crop.ann.classes, with_grad=True, warn=False
-                )
+                val, g = losses_mod.l_conf(y, crop.ann.positions, crop.ann.classes, with_grad=True)
                 parts["conf"] = parts.get("conf", 0.0) + val / stages
                 dy[s] += weights.lambda_conf * g / stages
 
@@ -401,7 +411,7 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
 
             cams = cam_mod.compute_cams(outputs.z, params["ml.w"])
             mask_classes = cam_mod.pseudo_mask(cams)
-            cam_weights = cam_mod.normalize_cams(cams) if config.normalize_cams else cams
+            cam_weights = cam_mod.normalize_cams(cams)
             vn, norms = net_mod.l2_normalize_columns(outputs.v)
             for cls_idx in range(config.net.num_classes):
                 mask = np.flatnonzero(mask_classes == cls_idx)
@@ -432,10 +442,11 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
         total = losses_mod.combined(crop_phase, parts, weights)
         parts["total"] = total
         if not np.isfinite(total):
-            _dump_diagnostics(diag_dir, crop, x, outputs, parts)
+            path = _dump_diagnostics(diag_dir, crop, x, outputs, parts)
+            where = f"diagnostics written to {path}" if path else "no diagnostics written"
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {state.epoch + 1}, sequence {crop.seq_idx}"
-                f" crop [{crop.start}, {crop.stop})"
+                f" crop [{crop.start}, {crop.stop}); {where}"
             )
 
         grads = net_mod.backward(
@@ -467,8 +478,10 @@ def _adam_step(state, grads, config):
 
 
 def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
+    """Write the crop's diagnostics; returns the path, or None if nothing
+    was written."""
     if diag_dir is None:
-        return
+        return None
     os.makedirs(diag_dir, exist_ok=True)
     path = os.path.join(diag_dir, f"diverged_seq{crop.seq_idx}_{crop.start}_{crop.stop}.npz")
     try:
@@ -481,6 +494,8 @@ def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
         )
     except OSError:  # diagnostics are best-effort
         warnings.warn(f"could not write diagnostics to {path}")
+        return None
+    return path
 
 
 def evaluate(state, data_set):

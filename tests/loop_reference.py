@@ -1,10 +1,16 @@
-"""Per-pair and per-sample loop references for the array-form contrast
-mining, InfoNCE and confidence loss.
+"""Loop references for the package's array code, and a cross-check
+Sinkhorn.
 
-These are the straightforward loops the package's array code replaced,
-kept as oracles: the array code must mine the same pairs (same RNG draw
-order) and give the same loss and gradient up to summation order.
-A pair is ``(anchor, pos_classes, pos_weights, neg_classes)``.
+The per-pair and per-sample loops are the straightforward versions the
+array code replaced, kept as oracles: contrast mining must pick the same
+pairs (same RNG draw order), InfoNCE and the confidence loss must give
+the same loss and gradient up to summation order, and pseudo-label
+generation must give exactly the same labels. A pair is
+``(anchor, pos_classes, pos_weights, neg_classes)``.
+
+``sinkhorn_direct`` iterates the scaling vectors of ``exp(S / reg)``
+directly instead of log-domain potentials, to cross-check the package's
+solver.
 """
 
 import math
@@ -12,6 +18,8 @@ import math
 import numpy as np
 
 from wsseg.contrast import ContrastBatch
+from wsseg.otrans import TransportPlan
+from wsseg.pseudo import PseudoLabels, count_assignments
 
 CLAMP = 1e-12
 
@@ -136,3 +144,95 @@ def l_conf_loop(y_prob, positions, classes):
                 grad[c, t] += sign / clamped[c, t]
                 grad[c, t - 1] -= sign / clamped[c, t - 1]
     return float(loss / t_prime), grad / t_prime
+
+
+def normalize_two_class(q, t, class_a, class_b):
+    """Scale (q[t,a], q[t,b]) to sum to one; (0.5, 0.5) when both vanish."""
+    qa = float(q[t, class_a])
+    qb = float(q[t, class_b])
+    total = qa + qb
+    if total <= 0.0:
+        return 0.5, 0.5
+    return qa / total, qb / total
+
+
+def generate_loop(q, annotations, eps_hard):
+    """Pseudo-labels built one interior sample at a time."""
+    q = np.asarray(q, dtype=np.float64)
+    t_len, c = q.shape
+    positions = annotations.positions
+    classes = annotations.classes
+    y = np.zeros((c, t_len))
+    hard = np.zeros(t_len, dtype=bool)
+
+    first, last = int(positions[0]), int(positions[-1])
+    y[int(classes[0]), : first + 1] = 1.0
+    hard[: first + 1] = True
+    y[:, last:] = 0.0
+    y[int(classes[-1]), last:] = 1.0
+    hard[last:] = True
+
+    for n in range(positions.size - 1):
+        t_n, t_next = int(positions[n]), int(positions[n + 1])
+        a, b = int(classes[n]), int(classes[n + 1])
+        y[:, t_n] = 0.0
+        y[a, t_n] = 1.0
+        hard[t_n] = True
+        interior = t_next - t_n - 1
+        if interior <= 0:
+            continue
+        if a == b:
+            y[a, t_n + 1 : t_next] = 1.0
+            hard[t_n + 1 : t_next] = True
+            continue
+        n_a, n_b = count_assignments(q, t_n + 1, t_next - 1, a, b)
+        hard_a = int(np.floor(eps_hard * n_a))
+        hard_b = int(np.floor(eps_hard * n_b))
+        for offset in range(interior):
+            t = t_n + 1 + offset
+            if offset < hard_a:
+                y[a, t] = 1.0
+                hard[t] = True
+            elif offset >= interior - hard_b:
+                y[b, t] = 1.0
+                hard[t] = True
+            else:
+                qa, qb = normalize_two_class(q, t, a, b)
+                y[a, t] = qa
+                y[b, t] = qb
+    return PseudoLabels(y=y, hard_mask=hard)
+
+
+class KernelOverflowError(ArithmeticError):
+    """exp(score/reg) left the double range; rescale scores or raise reg."""
+
+
+def sinkhorn_direct(problem, max_iters=5000, tol=1e-6):
+    """Sinkhorn on the scaling vectors u, v of the kernel exp(S / reg) * T."""
+    k = np.exp(problem.score / problem.reg)
+    if problem.prior is not None:
+        k = k * problem.prior
+    if not np.all(np.isfinite(k)) or np.any(k.sum(axis=1) == 0) or np.any(k.sum(axis=0) == 0):
+        raise KernelOverflowError(
+            "kernel exp(score/reg) is not finite and positive; rescale scores or raise reg"
+        )
+
+    def residual(q):
+        row = np.abs(q.sum(axis=1) - problem.alpha).max()
+        col = np.abs(q.sum(axis=0) - problem.beta).max()
+        return float(max(row, col))
+
+    u = np.ones_like(problem.alpha)
+    v = np.ones_like(problem.beta)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(problem.alpha > 0, problem.alpha / (k @ v), 0.0)
+            v = np.where(problem.beta > 0, problem.beta / (k.T @ u), 0.0)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise KernelOverflowError("scaling vectors diverged; rescale scores or raise reg")
+        q = u[:, None] * k * v[None, :]
+        if residual(q) <= tol:
+            return TransportPlan(q, iters, residual(q), True)
+    q = u[:, None] * k * v[None, :]
+    return TransportPlan(q, iters, residual(q), False)

@@ -89,9 +89,9 @@ def test_criterion_1_gradients():
     _, g = l_smooth(y, 0.5, with_grad=True)
     assert_grad_close(g, central_difference(lambda: l_smooth(y, 0.5), y))
 
-    _, g = l_conf(y, positions, classes, with_grad=True, warn=False)
+    _, g = l_conf(y, positions, classes, with_grad=True)
     assert_grad_close(g, central_difference(
-        lambda: l_conf(y, positions, classes, warn=False), y))
+        lambda: l_conf(y, positions, classes), y))
 
     logits = rng.standard_normal(5)
     targets = (rng.random(5) > 0.5).astype(float)

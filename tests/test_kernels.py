@@ -1,14 +1,9 @@
-"""Both kernel backends must agree with each other and the naive oracle."""
-
-import os
-import subprocess
-import sys
+"""The dilated-convolution kernels against the naive oracle."""
 
 import numpy as np
 import pytest
 
 from wsseg import kernels
-from wsseg.backend import HAS_NUMBA
 
 from conftest import naive_dilated_conv
 
@@ -24,37 +19,16 @@ def _instance(rng, dilation, cin=3, cout=5, t_len=23):
 
 def test_numpy_forward_matches_naive_oracle(rng, dilation):
     x, w, b = _instance(rng, dilation)
-    got = kernels.dilated_conv_forward_np(x, w, b, dilation)
+    got = kernels.dilated_conv_forward(x, w, b, dilation)
     want = naive_dilated_conv(x, w, b, dilation)
     np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_forward(rng, dilation):
-    x, w, b = _instance(rng, dilation)
-    np.testing.assert_allclose(
-        kernels.dilated_conv_forward_nb(x, w, b, dilation),
-        kernels.dilated_conv_forward_np(x, w, b, dilation),
-        atol=1e-12,
-    )
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_backward(rng, dilation):
-    x, w, b = _instance(rng, dilation)
-    d_out = rng.standard_normal((w.shape[0], x.shape[1]))
-    for got, want in zip(
-        kernels.dilated_conv_backward_nb(x, w, dilation, d_out),
-        kernels.dilated_conv_backward_np(x, w, dilation, d_out),
-    ):
-        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_backward_matches_brute_force(rng, dilation):
     """dL/dtheta for L = sum(weights * out) against perturbation of the oracle."""
     x, w, b = _instance(rng, dilation, cin=2, cout=3, t_len=9)
     probe = rng.standard_normal((3, 9))
-    d_x, d_w, d_b = kernels.dilated_conv_backward_np(x, w, dilation, probe)
+    d_x, d_w, d_b = kernels.dilated_conv_backward(x, w, dilation, probe)
 
     step = 1e-6
     for arr, grad in ((x, d_x), (w, d_w), (b, d_b)):
@@ -68,29 +42,3 @@ def test_backward_matches_brute_force(rng, dilation):
             lo = (probe * naive_dilated_conv(x, w, b, dilation)).sum()
             flat[i] = orig
             np.testing.assert_allclose(gflat[i], (hi - lo) / (2 * step), rtol=1e-5, atol=1e-7)
-
-
-def test_env_flag_selects_numpy(dilation):
-    if dilation != 1:
-        pytest.skip("env probe runs once")
-    code = "import wsseg.kernels as k; print(k.dilated_conv_forward is k.dilated_conv_forward_np)"
-    env = dict(os.environ, WSSEG_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "True"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_thread_cap_env(dilation):
-    if dilation != 1:
-        pytest.skip("env probe runs once")
-    code = (
-        "import numba, wsseg.backend as b;"
-        "print(b.backend_name(), numba.get_num_threads())"
-    )
-    env = dict(os.environ, WSSEG_BACKEND="numba", WSSEG_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["numba", "1"]

@@ -134,7 +134,7 @@ def test_conf_unimodal_peak_zero():
     y[0] = 0.5 * np.exp(-0.3 * np.abs(idx - 3))
     y[1] = 0.5 * np.exp(-0.3 * np.abs(idx - 9))
     y[2] = 1.0 - y[0] - y[1]
-    assert l_conf(y, [3, 9], [0, 1], warn=False) == 0.0
+    assert l_conf(y, [3, 9], [0, 1]) == 0.0
 
 
 def test_conf_single_violation_oracle():
@@ -145,7 +145,7 @@ def test_conf_single_violation_oracle():
     y[0, 5] = 0.4 * np.exp(0.2)  # rise of 0.2 in log space right of t_1
     y[1, :] = 0.3  # the annotated neighbor class stays flat
     y[2] = 1.0 - y[0] - y[1]  # unannotated class absorbs the bump
-    got = l_conf(y, positions, [0, 1], warn=False)
+    got = l_conf(y, positions, [0, 1])
     np.testing.assert_allclose(got, 0.2 / 20.0, rtol=1e-9)
 
 
@@ -160,8 +160,8 @@ def test_conf_mirror_symmetry():
         y[1] = 1.0 - y[0]
     ann_p = [2, mid, t - 3]
     ann_c = [0, 0, 0]
-    a = l_conf(y_right, ann_p, ann_c, warn=False)
-    b = l_conf(y_left, ann_p, ann_c, warn=False)
+    a = l_conf(y_right, ann_p, ann_c)
+    b = l_conf(y_left, ann_p, ann_c)
     np.testing.assert_allclose(a, b, rtol=1e-12)
     assert a > 0.0
 
@@ -176,15 +176,15 @@ def test_conf_rejects_unordered_timestamps():
     y = np.full((2, 8), 0.5)
     for positions in ([5, 2], [3, 3]):
         with pytest.raises(ValueError):
-            l_conf(y, positions, [0, 1], warn=False)
+            l_conf(y, positions, [0, 1])
 
 
 def test_conf_gradient(rng):
     y = _probs(rng)
     positions = np.array([1, 5, 10])
     classes = np.array([0, 2, 1])
-    _, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
-    numeric = central_difference(lambda: l_conf(y, positions, classes, warn=False), y)
+    _, grad = l_conf(y, positions, classes, with_grad=True)
+    numeric = central_difference(lambda: l_conf(y, positions, classes), y)
     assert_grad_close(grad, numeric)
 
 
@@ -199,9 +199,9 @@ def test_conf_matches_loop_reference():
         n = int(rng.integers(2, min(t, 10) + 1))
         positions = np.sort(rng.choice(t, size=n, replace=False))
         classes = rng.integers(0, c, size=n)
-        loss, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
+        loss, grad = l_conf(y, positions, classes, with_grad=True)
         want_loss, want_grad = l_conf_loop(y, positions, classes)
-        assert loss == l_conf(y, positions, classes, warn=False)
+        assert loss == l_conf(y, positions, classes)
         np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
 
@@ -216,9 +216,9 @@ def test_conf_gradient_random_problems():
         n = int(rng.integers(2, min(t, 5) + 1))
         positions = np.sort(rng.choice(t, size=n, replace=False))
         classes = rng.integers(0, c, size=n)
-        _, grad = l_conf(y, positions, classes, with_grad=True, warn=False)
+        _, grad = l_conf(y, positions, classes, with_grad=True)
         numeric = central_difference(
-            lambda: l_conf(y, positions, classes, warn=False), y, step=1e-6
+            lambda: l_conf(y, positions, classes), y, step=1e-6
         )
         assert_grad_close(grad, numeric)
 
@@ -299,5 +299,5 @@ def test_all_losses_nonnegative_random(rng):
         assert l_seg_timestamps(y, [0, 5], [1, 2]) >= 0.0
         assert l_seg_all(y, rng.dirichlet(np.ones(3), size=12).T) >= 0.0
         assert l_smooth(y, 4.0) >= 0.0
-        assert l_conf(y, [2, 8], [0, 1], warn=False) >= 0.0
+        assert l_conf(y, [2, 8], [0, 1]) >= 0.0
         assert l_cls(rng.standard_normal(3), rng.integers(0, 2, size=3)) >= 0.0

@@ -111,13 +111,6 @@ def test_accuracy_trivial_cases():
     assert accuracy([0, 1, 1, 0], [0, 1, 0, 0]) == 0.75
 
 
-def test_accuracy_one_vs_rest_flag():
-    pred = np.array([0, 1, 1, 0])
-    truth = np.array([0, 1, 0, 0])
-    got = accuracy(pred, truth, one_vs_rest=True)
-    np.testing.assert_allclose(got, 1.0 - 2.0 * 1 / (2 * 4), rtol=1e-12)
-
-
 def test_f_spec_example():
     truth = [0, 0, 1, 1]
     pred = [0, 1, 1, 1]
@@ -244,3 +237,8 @@ def test_report_single_pair_fields(rng):
     report = evaluate_pair(pred, truth, 3)
     for value in report.as_row().values():
         assert 0.0 <= value <= 1.0
+
+
+def test_evaluate_many_rejects_no_pairs():
+    with pytest.raises(ValueError, match="no"):
+        evaluate_many([], 3)

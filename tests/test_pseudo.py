@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from wsseg.pseudo import count_assignments, generate, normalize_two_class
+from wsseg.pseudo import count_assignments, generate
 from wsseg.seqdata import TimestampAnnotations
+
+from loop_reference import generate_loop, normalize_two_class
 
 
 def test_count_assignments_dominant_column():
@@ -147,6 +149,18 @@ def test_generate_monotone_in_eps(rng):
         low = generate(q, ann, eps_hard=float(e1))
         high = generate(q, ann, eps_hard=float(e2))
         assert np.all(high.hard_mask[low.hard_mask])
+
+
+def test_generate_matches_loop_reference(rng):
+    for _ in range(200):
+        q, ann, _ = _random_case(rng)
+        if rng.random() < 0.3:  # rows where both flanking classes vanish
+            q[rng.random(q.shape[0]) < 0.3] = 0.0
+        eps = float(rng.choice([0.0, 1.0, rng.random()]))
+        got = generate(q, ann, eps_hard=eps)
+        want = generate_loop(q, ann, eps_hard=eps)
+        assert np.array_equal(got.y, want.y)
+        assert np.array_equal(got.hard_mask, want.hard_mask)
 
 
 def test_generate_rejects_bad_eps(rng):

@@ -1,5 +1,7 @@
 """Training loop: determinism, resume, phases, supervision mixing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,14 @@ from wsseg.seqdata import (
     sample_timestamps,
     segments_of,
 )
+import wsseg.losses as losses_mod
+from wsseg.net import init_params
+from wsseg.proto import PrototypeBank
 from wsseg.trainer import (
     LabeledSequence,
+    NonFiniteLossError,
     TrainConfig,
+    TrainState,
     evaluate,
     load_checkpoint,
     make_crops,
@@ -62,6 +69,16 @@ def _config(**kw):
     return TrainConfig(**base)
 
 
+def _untrained(config, seed):
+    params = init_params(config.net, seed)
+    return TrainState(
+        config=config, params=params,
+        bank=PrototypeBank(3, 4), adam_m={}, adam_v={}, adam_t=0, epoch=0,
+        lr=config.lr, rng_batch_state={}, rng_mine_state={},
+        best_f_m=-1.0, best_epoch=0, epochs_since_best=0,
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(epochs_init=9, epochs_max=4)
@@ -77,6 +94,55 @@ def test_config_dict_round_trip():
     config = _config()
     clone = TrainConfig.from_dict(config.to_dict())
     assert clone == config
+
+
+def test_retired_config_keys_dropped_at_their_only_value():
+    config = _config()
+    old = dict(config.to_dict(), pseudo_per_batch=False, normalize_cams=True)
+    assert TrainConfig.from_dict(old) == config
+    for key, value in (("pseudo_per_batch", True), ("normalize_cams", False)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(dict(config.to_dict(), **{key: value}))
+
+
+def _rewrite_meta_config(path, **extra):
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"].update(extra)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def test_load_checkpoint_with_retired_config_keys(tmp_path):
+    config = _config()
+    path = tmp_path / "old.npz"
+    save_checkpoint(_untrained(config, 0), path)
+    _rewrite_meta_config(path, pseudo_per_batch=False, normalize_cams=True)
+    assert load_checkpoint(path).config == config
+    _rewrite_meta_config(path, pseudo_per_batch=True)
+    with pytest.raises(ValueError, match="pseudo_per_batch"):
+        load_checkpoint(path)
+
+
+def test_train_rejects_empty_sets():
+    data = _corpus(2, seed=1)
+    with pytest.raises(ValueError, match="train_set"):
+        train([], data, _config())
+    with pytest.raises(ValueError, match="val_set"):
+        train(data, [], _config())
+
+
+def test_non_finite_loss_names_its_diagnostics(monkeypatch, tmp_path):
+    monkeypatch.setattr(losses_mod, "combined", lambda *args: float("nan"))
+    data = _corpus(2, seed=1)
+    diag = tmp_path / "diag"
+    with pytest.raises(NonFiniteLossError, match="diagnostics written to") as info:
+        train(data, data[:1], _config(), diag_dir=str(diag))
+    written = list(diag.glob("*.npz"))
+    assert len(written) == 1 and str(written[0]) in str(info.value)
+    with pytest.raises(NonFiniteLossError, match="no diagnostics written"):
+        train(data, data[:1], _config())
 
 
 def test_mix_supervision_counts(rng):
@@ -205,29 +271,15 @@ def test_sinkhorn_nonconvergence_warns_once_per_regeneration():
 
 
 def test_evaluate_repeatable_and_chance_level():
-    import wsseg.net as net_mod
-    from wsseg.proto import PrototypeBank
-    from wsseg.trainer import TrainState
-
     config = _config()
     data = _corpus(6, seed=9, t_len=400)
-
-    def untrained(seed):
-        params = net_mod.init_params(config.net, seed)
-        return TrainState(
-            config=config, params=params,
-            bank=PrototypeBank(3, 4), adam_m={}, adam_v={}, adam_t=0, epoch=0,
-            lr=config.lr, rng_batch_state={}, rng_mine_state={},
-            best_f_m=-1.0, best_epoch=0, epochs_since_best=0,
-        )
-
-    state = untrained(123)
+    state = _untrained(config, 123)
     a = evaluate(state, data)
     b = evaluate(state, data)
     assert a.as_row() == b.as_row()
     np.testing.assert_array_equal(a.per_class_f, b.per_class_f)
     # chance level holds on average over initializations
-    mean_acc = np.mean([evaluate(untrained(s), data).acc for s in range(10)])
+    mean_acc = np.mean([evaluate(_untrained(config, s), data).acc for s in range(10)])
     assert abs(mean_acc - 1 / 3) <= 0.1
 
 
