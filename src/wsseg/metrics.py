@@ -1,18 +1,31 @@
 """Recognition and segmentation metrics.
 
 Recognition: sample accuracy and class-average F-score. Segmentation:
-class-average Jaccard index over sample sets, mean per-truth-segment IoU
-against the maximally-overlapping same-class prediction, and the Ward
-overfill/underfill boundary-error fraction. Reports aggregate across
-sequences by summing counts, never by concatenating label streams, so
-segment structure is preserved.
+class-average Jaccard index over sample sets, mean per-truth-segment IoU,
+and the overfill/underfill (O/U) boundary-error fraction of Ward et al.,
+"Performance metrics for activity recognition" (ACM TIST 2011).
+
+Segments are maximal runs of one class. A segment's match is the segment
+of the other stream with the same class and the largest overlap; ties go
+to the earliest. A segment with no overlapping same-class segment has no
+match. The IoU of a truth segment is that of its match, 0 without one.
+
+A sample counts for O/U when its prediction is wrong and its truth
+segment or its predicted segment has a match. A matched segment shares
+its match's class, so such a sample lies outside the match: it is
+underfill of its truth segment or overfill of its predicted one. Errors
+inside unmatched segments are insertions or deletions, not O/U.
+
+Every count comes from the runs between the change points of either
+stream: each run is the overlap of exactly one (truth segment, predicted
+segment) pair, and every overlapping pair has one run. Reports aggregate
+across sequences by summing counts, never by concatenating label streams,
+so segments never span two sequences.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .seqdata import DenseLabels, segments_of
 
 
 @dataclass
@@ -36,55 +49,49 @@ class EvalReport:
         }
 
 
-def _check_pair(pred, truth):
+def _check_pair(pred, truth, num_classes=None):
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("prediction and truth must be equal-length 1-D label arrays")
+    if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
+        raise ValueError("prediction and truth must be equal-length non-empty 1-D label arrays")
+    if min(pred.min(), truth.min()) < 0:
+        raise ValueError("labels must be non-negative class indices")
+    if num_classes is not None and max(pred.max(), truth.max()) >= num_classes:
+        raise ValueError("label index out of range for the declared class count")
     return pred, truth
+
+
+def _report(pred, truth, num_classes=None):
+    pred, truth = _check_pair(pred, truth, num_classes)
+    if num_classes is None:
+        num_classes = int(max(pred.max(), truth.max())) + 1
+    return evaluate_pair(pred, truth, num_classes)
 
 
 def accuracy(pred, truth):
     """Fraction of matching samples."""
-    pred, truth = _check_pair(pred, truth)
-    return int((pred == truth).sum()) / pred.size
+    return _report(pred, truth).acc
 
 
 def class_average_f(pred, truth, num_classes=None):
     """Mean F-score over the classes present in the truth."""
-    pred, truth = _check_pair(pred, truth)
-    if num_classes is None:
-        num_classes = int(max(pred.max(), truth.max())) + 1
-    tp, fp, fn = _confusion_counts(pred, truth, num_classes)
-    f, present = _f_scores(tp, fp, fn, truth_counts=np.bincount(truth, minlength=num_classes))
-    return float(f[present].mean()) if present.any() else 0.0
+    return _report(pred, truth, num_classes).f_m
 
 
 def jaccard_index(pred, truth, num_classes=None):
     """Mean over classes present in truth or pred of |inter| / |union|
     between the two classes' sample sets."""
-    pred, truth = _check_pair(pred, truth)
-    if num_classes is None:
-        num_classes = int(max(pred.max(), truth.max())) + 1
-    inter, union = _set_counts(pred, truth, num_classes)
-    present = union > 0
-    ji = np.zeros(num_classes)
-    ji[present] = inter[present] / union[present]
-    return float(ji[present].mean()) if present.any() else 0.0
+    return _report(pred, truth, num_classes).ji
 
 
-def segment_iou(pred, truth, num_classes=None):
-    """Mean over truth segments of IoU with the best same-class prediction."""
-    pred, truth = _check_pair(pred, truth)
-    total, count = _segment_iou_counts(pred, truth)
-    return total / count if count else 0.0
+def segment_iou(pred, truth):
+    """Mean over truth segments of IoU with the matched prediction."""
+    return _report(pred, truth).iou
 
 
 def overfill_underfill(pred, truth):
     """Boundary-error samples of matched segments as a fraction of T."""
-    pred, truth = _check_pair(pred, truth)
-    bad = _overfill_counts(pred, truth)
-    return bad / pred.size
+    return _report(pred, truth).o_u
 
 
 def evaluate_pair(pred, truth, num_classes):
@@ -97,43 +104,30 @@ def evaluate_many(pairs, num_classes):
     if not pairs:
         raise ValueError("no (pred, truth) pairs to evaluate")
     tp = np.zeros(num_classes)
-    fp = np.zeros(num_classes)
-    fn = np.zeros(num_classes)
-    inter = np.zeros(num_classes)
-    union = np.zeros(num_classes)
-    truth_counts = np.zeros(num_classes)
-    pred_counts = np.zeros(num_classes)
-    matches = 0
+    n_pred = np.zeros(num_classes)
+    n_truth = np.zeros(num_classes)
     total = 0
     iou_sum = 0.0
     iou_n = 0
     bad = 0
     for pred, truth in pairs:
-        pred, truth = _check_pair(pred, truth)
-        if max(int(pred.max()), int(truth.max())) >= num_classes:
-            raise ValueError("label index out of range for the declared class count")
-        tpi, fpi, fni = _confusion_counts(pred, truth, num_classes)
+        pred, truth = _check_pair(pred, truth, num_classes)
+        tpi, n_pred_i, n_truth_i, s, n, b = _pair_counts(pred, truth, num_classes)
         tp += tpi
-        fp += fpi
-        fn += fni
-        ii, ui = _set_counts(pred, truth, num_classes)
-        inter += ii
-        union += ui
-        truth_counts += np.bincount(truth, minlength=num_classes)
-        pred_counts += np.bincount(pred, minlength=num_classes)
-        matches += int((pred == truth).sum())
+        n_pred += n_pred_i
+        n_truth += n_truth_i
         total += pred.size
-        s, n = _segment_iou_counts(pred, truth)
         iou_sum += s
         iou_n += n
-        bad += _overfill_counts(pred, truth)
+        bad += b
 
-    f, f_present = _f_scores(tp, fp, fn, truth_counts=truth_counts)
+    f, f_present = _f_scores(tp, fp=n_pred - tp, fn=n_truth - tp, truth_counts=n_truth)
+    union = n_truth + n_pred - tp
     ji_present = union > 0
     ji = np.zeros(num_classes)
-    ji[ji_present] = inter[ji_present] / union[ji_present]
+    ji[ji_present] = tp[ji_present] / union[ji_present]
     return EvalReport(
-        acc=matches / total,
+        acc=int(tp.sum()) / total,
         f_m=float(f[f_present].mean()) if f_present.any() else 0.0,
         ji=float(ji[ji_present].mean()) if ji_present.any() else 0.0,
         iou=iou_sum / iou_n if iou_n else 0.0,
@@ -144,15 +138,45 @@ def evaluate_many(pairs, num_classes):
     )
 
 
-def _confusion_counts(pred, truth, num_classes):
-    tp = np.zeros(num_classes)
-    fp = np.zeros(num_classes)
-    fn = np.zeros(num_classes)
-    match = pred == truth
-    np.add.at(tp, truth[match], 1.0)
-    np.add.at(fp, pred[~match], 1.0)
-    np.add.at(fn, truth[~match], 1.0)
-    return tp, fp, fn
+def _pair_counts(pred, truth, num_classes):
+    """Counts of one checked pair: the per-class bincounts ``tp``,
+    ``n_pred`` and ``n_truth``, the IoU sum over truth segments, the number
+    of truth segments and the number of O/U samples."""
+    same = pred == truth
+    tp = np.bincount(truth[same], minlength=num_classes)
+    n_pred = np.bincount(pred, minlength=num_classes)
+    n_truth = np.bincount(truth, minlength=num_classes)
+
+    t_cut = truth[1:] != truth[:-1]
+    p_cut = pred[1:] != pred[:-1]
+    start = np.flatnonzero(np.concatenate(([True], t_cut | p_cut)))
+    length = np.diff(np.append(start, pred.size))
+    # segment ids per run, and segment lengths
+    t_id = np.cumsum(np.concatenate(([False], t_cut)))[start]
+    p_id = np.cumsum(np.concatenate(([False], p_cut)))[start]
+    t_len = np.diff(np.flatnonzero(np.concatenate(([True], t_cut, [True]))))
+    p_len = np.diff(np.flatnonzero(np.concatenate(([True], p_cut, [True]))))
+
+    # Same-class runs are the candidate matches. Sorting them by (truth
+    # segment, -length, run index) puts each truth segment's match first.
+    run_same = same[start]
+    cand = np.flatnonzero(run_same)
+    order = cand[np.lexsort((cand, -length[cand], t_id[cand]))]
+    best = order[np.diff(t_id[order], prepend=-1) != 0]
+    ov = length[best]
+    iou = ov / (t_len[t_id[best]] + p_len[p_id[best]] - ov)
+    # left to right in truth-segment order; np.sum adds pairwise, which
+    # changes the last bits of the reported IoU
+    iou_sum = sum(iou.tolist())
+
+    # O/U: wrong samples whose truth or predicted segment has a match
+    t_matched = np.zeros(t_len.size, dtype=bool)
+    p_matched = np.zeros(p_len.size, dtype=bool)
+    t_matched[t_id[cand]] = True
+    p_matched[p_id[cand]] = True
+    wrong = ~run_same & (t_matched[t_id] | p_matched[p_id])
+    bad = int(length[wrong].sum())
+    return tp, n_pred, n_truth, iou_sum, t_len.size, bad
 
 
 def _f_scores(tp, fp, fn, truth_counts):
@@ -163,77 +187,3 @@ def _f_scores(tp, fp, fn, truth_counts):
     pr = prec + rec
     f = np.divide(2.0 * prec * rec, pr, out=np.zeros_like(tp), where=pr > 0)
     return f, truth_counts > 0
-
-
-def _set_counts(pred, truth, num_classes):
-    inter = np.zeros(num_classes)
-    union = np.zeros(num_classes)
-    match = pred == truth
-    np.add.at(inter, truth[match], 1.0)
-    np.add.at(union, truth, 1.0)
-    np.add.at(union, pred[~match], 1.0)
-    return inter, union
-
-
-def _segment_iou_counts(pred, truth):
-    c = int(max(pred.max(), truth.max())) + 1
-    pred_segs = segments_of(DenseLabels(pred, c))
-    truth_segs = segments_of(DenseLabels(truth, c))
-    total = 0.0
-    for ts in truth_segs:
-        best = _best_match(ts, pred_segs)
-        if best is None:
-            continue
-        inter = min(ts.end, best.end) - max(ts.start, best.start) + 1
-        union = max(ts.end, best.end) - min(ts.start, best.start) + 1
-        total += max(inter, 0) / union
-    return total, len(truth_segs)
-
-
-def _overfill_counts(pred, truth):
-    """Samples in error at matched-segment boundaries, each counted once.
-
-    Underfill: inside a truth segment, before/after its matched prediction,
-    where the prediction misses the class. Overfill: inside a predicted
-    segment, before/after its matched truth segment, where the truth
-    differs. Unmatched segments are insertions/deletions, not O/U.
-    """
-    c = int(max(pred.max(), truth.max())) + 1
-    pred_segs = segments_of(DenseLabels(pred, c))
-    truth_segs = segments_of(DenseLabels(truth, c))
-    bad = np.zeros(pred.size, dtype=bool)
-    for ts in truth_segs:
-        ps = _best_match(ts, pred_segs, require_overlap=True)
-        if ps is None:
-            continue
-        for lo, hi in ((ts.start, min(ps.start - 1, ts.end)), (max(ps.end + 1, ts.start), ts.end)):
-            if lo <= hi:
-                span = slice(lo, hi + 1)
-                bad[span] |= pred[span] != ts.class_index
-    for ps in pred_segs:
-        ts = _best_match(ps, truth_segs, require_overlap=True)
-        if ts is None:
-            continue
-        for lo, hi in ((ps.start, min(ts.start - 1, ps.end)), (max(ts.end + 1, ps.start), ps.end)):
-            if lo <= hi:
-                span = slice(lo, hi + 1)
-                bad[span] |= truth[span] != ps.class_index
-    return int(bad.sum())
-
-
-def _best_match(truth_seg, pred_segs, require_overlap=False):
-    """Same-class predicted segment with maximal overlap; ties go to the
-    earliest predicted segment."""
-    best = None
-    best_overlap = -1
-    for ps in pred_segs:
-        if ps.class_index != truth_seg.class_index:
-            continue
-        overlap = min(truth_seg.end, ps.end) - max(truth_seg.start, ps.start) + 1
-        overlap = max(overlap, 0)
-        if overlap > best_overlap:
-            best = ps
-            best_overlap = overlap
-    if require_overlap and best_overlap <= 0:
-        return None
-    return best

@@ -104,14 +104,6 @@ class TimestampAnnotations:
 
 
 @dataclass
-class SequenceMultiLabel:
-    present: np.ndarray  # (C,) 0/1
-
-    def __post_init__(self):
-        self.present = np.asarray(self.present, dtype=np.int64)
-
-
-@dataclass
 class SyntheticSpec:
     """Piecewise-stationary Gaussian generator settings.
 
@@ -242,13 +234,14 @@ def sample_timestamps(labels, seed):
 
 
 def sequence_multilabel(annotations, num_classes):
-    """Bit vector marking which classes occur among the annotations."""
+    """(C,) 0/1 int array marking which classes occur among the annotations."""
+    classes = annotations.classes
+    bad = classes[(classes < 0) | (classes >= num_classes)]
+    if bad.size:
+        raise ValueError(f"class index {int(bad[0])} out of range for C={num_classes}")
     present = np.zeros(num_classes, dtype=np.int64)
-    for c in annotations.classes:
-        if c >= num_classes:
-            raise ValueError(f"class index {c} out of range for C={num_classes}")
-        present[c] = 1
-    return SequenceMultiLabel(present)
+    present[classes] = 1
+    return present
 
 
 def generate_synthetic(spec, seed):

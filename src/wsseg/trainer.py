@@ -190,7 +190,7 @@ def _crop_views(seq_idx, start, stop, ann, aug_pos, aug_cls, num_classes):
         ann=crop_ann,
         aug_positions=aug_pos[a_in] - start,
         aug_classes=aug_cls[a_in],
-        multilabel=sequence_multilabel(crop_ann, num_classes).present,
+        multilabel=sequence_multilabel(crop_ann, num_classes),
     )
 
 

@@ -139,6 +139,24 @@ def test_iou_spec_example():
     np.testing.assert_allclose(segment_iou(pred, truth), 0.5, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pred, truth, want",
+    [
+        # truth 0 on [2,7]; predicted 0 on [0,3] (length 4) and [6,11]
+        # (length 6) both overlap it by 2: the earlier, shorter one counts
+        ([0, 0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0], [7, 7, 0, 0, 0, 0, 0, 0, 8, 8, 8, 8], 2 / 8),
+        # truth 0 on [5,10]; predicted 0 on [0,6] (length 7) and [9,11]
+        # (length 3) both overlap it by 2: the earlier, longer one counts
+        ([0] * 7 + [5, 5] + [0] * 3 + [6, 6], [7] * 5 + [0] * 6 + [8] * 3, 2 / 11),
+    ],
+    ids=["earlier-shorter", "earlier-longer"],
+)
+def test_iou_tie_goes_to_earliest_prediction(pred, truth, want):
+    # the filler truth segments 7 and 8 have no match and score 0
+    assert segment_iou(pred, truth) == want / 3
+    assert segment_iou(pred, truth) == oracle_iou(pred, truth)
+
+
 def test_iou_no_shared_class_zero():
     assert segment_iou([1, 1, 1], [0, 0, 0]) == 0.0
 
@@ -174,6 +192,25 @@ def test_length_mismatch_raises():
         accuracy([0, 1], [0, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [
+        accuracy,
+        class_average_f,
+        jaccard_index,
+        segment_iou,
+        overfill_underfill,
+        lambda pred, truth: evaluate_many([(pred, truth)], 3),
+    ],
+    ids=["accuracy", "class_average_f", "jaccard_index", "segment_iou", "overfill_underfill",
+         "evaluate_many"],
+)
+def test_negative_labels_raise(metric):
+    for pred, truth in (([-1, 0, 0], [0, 0, 0]), ([0, 0, 0], [0, -2, 0])):
+        with pytest.raises(ValueError, match="non-negative"):
+            metric(pred, truth)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_all_metrics_match_oracles_random(seed):
     rng = np.random.default_rng(seed)
@@ -199,6 +236,18 @@ def test_all_metrics_match_oracles_random(seed):
             overfill_underfill(pred, truth), oracle_ou(pred.tolist(), truth.tolist()),
             rtol=1e-12,
         )
+    # long pairs with hundreds of predicted segments, exact
+    for _ in range(2):
+        t = int(rng.integers(1000, 2001))
+        c = int(rng.integers(2, 6))
+        truth = np.repeat(rng.integers(0, c, size=t), rng.integers(5, 40, size=t))[:t]
+        pred = truth.copy()
+        flips = rng.random(t) < 0.15
+        pred[flips] = rng.integers(0, c, size=int(flips.sum()))
+        assert np.count_nonzero(np.diff(pred)) >= 100
+        p, tr = pred.tolist(), truth.tolist()
+        assert segment_iou(pred, truth) == oracle_iou(p, tr)
+        assert overfill_underfill(pred, truth) == oracle_ou(p, tr)
 
 
 def test_relabeling_invariance(rng):

@@ -123,20 +123,22 @@ def test_sample_timestamps_class_consistency(rng):
 def test_sequence_multilabel_bits():
     ann = TimestampAnnotations(np.array([1, 5]), np.array([0, 2]))
     ml = sequence_multilabel(ann, 4)
-    np.testing.assert_array_equal(ml.present, [1, 0, 1, 0])
+    np.testing.assert_array_equal(ml, [1, 0, 1, 0])
+    assert ml.dtype == np.int64
 
 
 def test_sequence_multilabel_empty_and_duplicates():
     empty = TimestampAnnotations(np.array([], dtype=int), np.array([], dtype=int))
-    np.testing.assert_array_equal(sequence_multilabel(empty, 3).present, [0, 0, 0])
+    np.testing.assert_array_equal(sequence_multilabel(empty, 3), [0, 0, 0])
     dup = TimestampAnnotations(np.array([0, 3]), np.array([1, 1]))
-    np.testing.assert_array_equal(sequence_multilabel(dup, 3).present, [0, 1, 0])
+    np.testing.assert_array_equal(sequence_multilabel(dup, 3), [0, 1, 0])
 
 
 def test_sequence_multilabel_range_error():
-    ann = TimestampAnnotations(np.array([0]), np.array([5]))
-    with pytest.raises(ValueError):
-        sequence_multilabel(ann, 3)
+    for cls in (5, -1):
+        ann = TimestampAnnotations(np.array([0]), np.array([cls]))
+        with pytest.raises(ValueError, match="out of range"):
+            sequence_multilabel(ann, 3)
 
 
 def _spec(**kw):
