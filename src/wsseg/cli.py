@@ -18,6 +18,7 @@ import numpy as np
 from . import net as net_mod
 from . import trainer as trainer_mod
 from .cam import compute_cams
+from .metrics import evaluate_many
 from .seqdata import (
     SyntheticSpec,
     generate_synthetic,
@@ -244,16 +245,18 @@ def cmd_eval(args):
     if meta["num_classes"] != state.config.net.num_classes:
         raise CliError(EXIT_DATA, "dataset class count differs from the checkpoint")
     os.makedirs(args.out, exist_ok=True)
-    report = trainer_mod.evaluate(state, data)
+    preds = trainer_mod.predict(state, data)
+    report = evaluate_many(
+        [(pred, item.labels.labels) for pred, item in zip(preds, data)],
+        state.config.net.num_classes,
+    )
     rows = [["metric", "value"]] + [[k, repr(v)] for k, v in report.as_row().items()]
     for c in range(report.num_classes):
         rows.append([f"f_class_{c}", repr(float(report.per_class_f[c]))])
         rows.append([f"ji_class_{c}", repr(float(report.per_class_ji[c]))])
     with open(os.path.join(args.out, "eval_report.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    for item in data:
-        outputs = net_mod.forward(item.sequence.data, state.params, state.config.net)
-        pred = np.argmax(outputs.y_prob[-1], axis=0)
+    for item, pred in zip(data, preds):
         svg = segmentation_ribbon_svg(
             [("truth", item.labels.labels), ("pred", pred)], report.num_classes
         )

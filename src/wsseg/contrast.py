@@ -126,8 +126,8 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
     return ContrastBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def info_nce(batch, vn, bank, tau, with_grad=False):
-    """Mean InfoNCE over the batch; optionally the gradient wrt ``vn``.
+def info_nce(batch, vn, bank, tau):
+    """Mean InfoNCE over the batch and its gradient wrt ``vn``.
 
     Per anchor: -log( exp(v.P_pos/tau) / sum_{c in {pos} u negs} exp(v.P_c/tau) ),
     with P_pos = pos_w @ P. Anchors without negatives contribute
@@ -149,8 +149,6 @@ def info_nce(batch, vn, bank, tau, with_grad=False):
     total = e_pos + e_neg.sum(axis=1)
     a = len(batch)
     loss = float((np.log(total) + shift - s_pos).sum() / a)
-    if not with_grad:
-        return loss
     coef = ((e_pos / total - 1.0)[:, None] * batch.pos_w + e_neg / total[:, None]) / (tau * a)
     d_vn = np.zeros_like(vn)
     np.add.at(d_vn.T, batch.anchors, coef @ bank.p)

@@ -1,5 +1,8 @@
-"""Loss terms for timestamp-supervised training, each with an optional
-analytic gradient wrt its direct input.
+"""Loss terms for timestamp-supervised training.
+
+Every term returns ``(value, grad)``: the loss as a float and its
+analytic gradient wrt the term's direct input, of that input's shape.
+``combined`` sums the values of the terms that ran into the objective.
 
 Probabilities are clamped at 1e-12 before any log so every loss stays
 finite and gradients bounded. The smoothing and confidence terms are
@@ -30,7 +33,7 @@ class LossWeights:
             raise ValueError("thresholds must be positive")
 
 
-def l_seg_timestamps(y_prob, positions, classes, with_grad=False):
+def l_seg_timestamps(y_prob, positions, classes):
     """Mean cross-entropy over the annotated positions."""
     positions = np.asarray(positions, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64)
@@ -39,28 +42,24 @@ def l_seg_timestamps(y_prob, positions, classes, with_grad=False):
     probs = y_prob[classes, positions]
     clamped = np.maximum(probs, CLAMP)
     loss = float(-np.log(clamped).mean())
-    if not with_grad:
-        return loss
     grad = np.zeros_like(y_prob)
     live = probs > CLAMP
     np.add.at(grad, (classes[live], positions[live]), -1.0 / (clamped[live] * positions.size))
     return loss, grad
 
 
-def l_seg_all(y_prob, y_tilde, with_grad=False):
+def l_seg_all(y_prob, y_tilde):
     """Soft cross-entropy against dense pseudo-labels: -(1/T) sum ytilde log yhat."""
     if y_prob.shape != y_tilde.shape:
         raise ValueError("prediction and pseudo-label shapes differ")
     t_len = y_prob.shape[1]
     clamped = np.maximum(y_prob, CLAMP)
     loss = float(-(y_tilde * np.log(clamped)).sum() / t_len)
-    if not with_grad:
-        return loss
     grad = np.where(y_prob > CLAMP, -y_tilde / (clamped * t_len), 0.0)
     return loss, grad
 
 
-def l_smooth(y_prob, tau_trunc, with_grad=False):
+def l_smooth(y_prob, tau_trunc):
     """Truncated mean-square of adjacent log-probability jumps."""
     if y_prob.shape[1] < 2:
         raise ValueError("need at least two samples")
@@ -71,8 +70,6 @@ def l_smooth(y_prob, tau_trunc, with_grad=False):
     trunc = np.minimum(mag, tau_trunc)
     denom = trunc.size
     loss = float((trunc ** 2).sum() / denom)
-    if not with_grad:
-        return loss
     live = (mag < tau_trunc) & (y_prob[:, 1:] > CLAMP) & (y_prob[:, :-1] > CLAMP)
     d_delta = np.where(live, 2.0 * delta / denom, 0.0)
     grad = np.zeros_like(y_prob)
@@ -81,7 +78,7 @@ def l_smooth(y_prob, tau_trunc, with_grad=False):
     return loss, grad
 
 
-def l_conf(y_prob, positions, classes, with_grad=False):
+def l_conf(y_prob, positions, classes):
     """Confidence penalty: around each timestamp, the annotated class's
     log-probability must not increase while moving away from it.
 
@@ -93,9 +90,7 @@ def l_conf(y_prob, positions, classes, with_grad=False):
     n = positions.size
     if n < 2:
         warnings.warn("confidence loss undefined for fewer than two timestamps; returning 0")
-        if with_grad:
-            return 0.0, np.zeros_like(y_prob)
-        return 0.0
+        return 0.0, np.zeros_like(y_prob)
     if np.any(np.diff(positions) <= 0):
         raise ValueError("timestamp positions must be strictly increasing")
     t_prime = 2.0 * (positions[-1] - positions[0])
@@ -112,8 +107,6 @@ def l_conf(y_prob, positions, classes, with_grad=False):
     viol = sign * (logp[c, t] - logp[c, t - 1])
     hit = viol > 0.0
     loss = float(viol[hit].sum() / t_prime)
-    if not with_grad:
-        return loss
     c, t, sign = c[hit], t[hit], sign[hit] / t_prime
     grad = np.zeros_like(y_prob)
     np.add.at(grad, (c, t), sign / clamped[c, t])
@@ -121,7 +114,7 @@ def l_conf(y_prob, positions, classes, with_grad=False):
     return loss, grad
 
 
-def l_cls(logits, targets, include_background=False, with_grad=False):
+def l_cls(logits, targets, include_background=False):
     """Multi-label soft margin loss over the non-background classes."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -137,27 +130,22 @@ def l_cls(logits, targets, include_background=False, with_grad=False):
     log_one_minus = -np.logaddexp(0.0, x)
     count = c - start
     loss = float(-(y * log_sig + (1.0 - y) * log_one_minus).sum() / count)
-    if not with_grad:
-        return loss
     grad = np.zeros_like(logits)
     sig = 1.0 / (1.0 + np.exp(-x))
     grad[sel] = (sig - y) / count
     return loss, grad
 
 
-def combined(phase, parts, weights):
-    """Weighted loss for a training phase.
+def combined(parts, weights):
+    """The training objective: the weighted sum of the terms that ran,
 
-    warmup:    L_seg + ls*L_s + lconf*L_conf
-    timestamp: L_cls + L_seg + lcon*L_con + ls*L_s + lconf*L_conf
-    pseudo:    L_cls + L_segall + lcon*L_con + ls*L_s + lconf*L_conf
+        L_cls + L_seg + L_segall + lcon*L_con + (ls*L_s + lconf*L_conf),
+
+    summed in that order. A term absent from ``parts`` counts as 0.0, so
+    the caller decides the objective by the terms it computes: phase 1
+    runs L_seg, phase 2 L_segall, and L_cls and L_con run only with
+    prototypes.
     """
     get = lambda key: float(parts.get(key, 0.0))
-    base = weights.lambda_s * get("smooth") + weights.lambda_conf * get("conf")
-    if phase == "warmup":
-        return get("seg") + base
-    if phase == "timestamp":
-        return get("cls") + get("seg") + weights.lambda_con * get("con") + base
-    if phase == "pseudo":
-        return get("cls") + get("segall") + weights.lambda_con * get("con") + base
-    raise ValueError(f"unknown phase {phase!r}")
+    tail = weights.lambda_s * get("smooth") + weights.lambda_conf * get("conf")
+    return get("cls") + get("seg") + get("segall") + weights.lambda_con * get("con") + tail

@@ -50,10 +50,12 @@ class EvalReport:
 
 
 def _check_pair(pred, truth, num_classes=None):
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
         raise ValueError("prediction and truth must be equal-length non-empty 1-D label arrays")
+    if pred.dtype.kind not in "iu" or truth.dtype.kind not in "iu":
+        raise ValueError("labels must be integer class indices")
+    pred, truth = pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
     if min(pred.min(), truth.min()) < 0:
         raise ValueError("labels must be non-negative class indices")
     if num_classes is not None and max(pred.max(), truth.max()) >= num_classes:

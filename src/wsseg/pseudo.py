@@ -34,7 +34,7 @@ def count_assignments(q, lo, hi, class_a, class_b):
     return n_a, (hi - lo + 1) - n_a
 
 
-def generate(q, annotations, eps_hard, num_classes=None):
+def generate(q, annotations, eps_hard):
     """Build pseudo-labels for a full sequence.
 
     ``q`` is the (T, C) transport plan read as per-sample class scores
@@ -47,8 +47,6 @@ def generate(q, annotations, eps_hard, num_classes=None):
         raise ValueError("eps_hard must lie in [0, 1]")
     q = np.asarray(q, dtype=np.float64)
     t_len, c = q.shape
-    if num_classes is not None:
-        c = num_classes
     positions = annotations.positions
     classes = annotations.classes
     if positions.size == 0:

@@ -88,14 +88,16 @@ class Segment:
 
 @dataclass
 class TimestampAnnotations:
-    positions: np.ndarray  # (N,) int, strictly increasing
-    classes: np.ndarray  # (N,) int
+    positions: np.ndarray  # (N,) int, nonnegative, strictly increasing
+    classes: np.ndarray  # (N,) int, nonnegative
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64)
         self.classes = np.asarray(self.classes, dtype=np.int64)
         if self.positions.shape != self.classes.shape or self.positions.ndim != 1:
             raise ValueError("positions and classes must be equal-length 1-D arrays")
+        if np.any(self.positions < 0) or np.any(self.classes < 0):
+            raise ValueError("timestamp positions and classes must be nonnegative")
         if self.positions.size > 1 and np.any(np.diff(self.positions) <= 0):
             raise ValueError("timestamp positions must be strictly increasing")
 
@@ -196,16 +198,15 @@ def load_sequence(path, num_channels, num_classes=None, sample_rate_hz=1.0, id="
     return SensorSequence(data, sample_rate_hz=sample_rate_hz, id=id, labels=dense)
 
 
-def write_sequence_csv(path, sequence, labels=None, header=True):
+def write_sequence_csv(path, sequence, labels=None):
     """Write a sequence (and optional dense labels) in load_sequence's format."""
     d, t = sequence.data.shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            cols = [f"ch{i}" for i in range(d)]
-            if labels is not None:
-                cols.append("label")
-            writer.writerow(cols)
+        cols = [f"ch{i}" for i in range(d)]
+        if labels is not None:
+            cols.append("label")
+        writer.writerow(cols)
         for i in range(t):
             row = [repr(float(v)) for v in sequence.data[:, i]]
             if labels is not None:
@@ -236,7 +237,7 @@ def sample_timestamps(labels, seed):
 def sequence_multilabel(annotations, num_classes):
     """(C,) 0/1 int array marking which classes occur among the annotations."""
     classes = annotations.classes
-    bad = classes[(classes < 0) | (classes >= num_classes)]
+    bad = classes[classes >= num_classes]
     if bad.size:
         raise ValueError(f"class index {int(bad[0])} out of range for C={num_classes}")
     present = np.zeros(num_classes, dtype=np.int64)

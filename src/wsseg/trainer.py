@@ -5,9 +5,10 @@ Phase 1 (epoch < epochs_init) optimizes the timestamp objective: per-stage
 cross-entropy at annotated samples plus smoothing and confidence
 penalties, and, when prototypes are enabled, the multi-label and
 sample-to-prototype contrastive terms. Phase 2 swaps the timestamp
-cross-entropy for a dense soft cross-entropy against pseudo-labels.
-Training is deterministic for a fixed seed, checkpointable, and exactly
-resumable.
+cross-entropy for a dense soft cross-entropy against pseudo-labels; a
+sequence without pseudo-labels (some annotated class has no initialized
+prototype) keeps the timestamp term. Training is deterministic for a
+fixed seed, checkpointable, and exactly resumable.
 """
 
 import json
@@ -39,9 +40,12 @@ from .seqdata import (
 CHECKPOINT_VERSION = 1
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Retired config keys and the one value each could still hold: older
 # checkpoints and configs carry them, and from_dict drops them.
-RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True}
+RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
+                "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -79,9 +83,6 @@ class TrainConfig:
     eps_hard: float = 0.5
     mixed_fraction: float = 0.0
     patience: int = 20
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     include_background_cls: bool = False
 
     def __post_init__(self):
@@ -102,7 +103,8 @@ class TrainConfig:
     def from_dict(cls, d):
         d = dict(d)
         for key, only in RETIRED_KEYS.items():
-            if key in d and d.pop(key) is not only:
+            # type and value: 0 == False, yet 0 is not the retired boolean
+            if key in d and (type(value := d.pop(key)), value) != (type(only), only):
                 raise ValueError(
                     f"config key {key!r} is retired; only {json.dumps(only)} is supported"
                 )
@@ -293,7 +295,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         for b0 in range(0, order.size, config.batch_size):
             batch = [crops[i] for i in order[b0 : b0 + config.batch_size]]
             parts_mean = _train_batch(
-                batch, train_set, state, config, phase, pseudo_labels, rng_mine, diag_dir
+                batch, train_set, state, config, pseudo_labels, rng_mine, diag_dir
             )
             for k, v in parts_mean.items():
                 totals[k] = totals.get(k, 0.0) + v
@@ -355,7 +357,7 @@ def _regenerate_pseudo(train_set, annotations, aug, state, config):
     return out
 
 
-def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine, diag_dir):
+def _train_batch(batch, train_set, state, config, pseudo_labels, rng_mine, diag_dir):
     params = state.params
     stages = config.net.stages
     weights = config.loss
@@ -369,34 +371,30 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
         dy = [np.zeros_like(p) for p in outputs.y_prob]
         parts = {}
 
-        y_tilde = None
-        crop_phase = phase
-        if phase == "pseudo":
-            full = pseudo_labels.get(crop.seq_idx) if pseudo_labels else None
-            if full is None:
-                crop_phase = "timestamp" if config.use_prototypes else "warmup"
-            else:
-                y_tilde = full[:, crop.start : crop.stop]
+        def add_stage_term(key, s, w, value_grad):
+            val, g = value_grad
+            parts[key] = parts.get(key, 0.0) + val / stages
+            dy[s] += w * g / stages
 
+        # dense pseudo-labels when the sequence has them, else the timestamps
+        full = pseudo_labels.get(crop.seq_idx) if pseudo_labels else None
+        y_tilde = None if full is None else full[:, crop.start : crop.stop]
         for s in range(stages):
             y = outputs.y_prob[s]
             if y_tilde is not None:
-                val, g = losses_mod.l_seg_all(y, y_tilde, with_grad=True)
-                parts["segall"] = parts.get("segall", 0.0) + val / stages
+                add_stage_term("segall", s, 1.0, losses_mod.l_seg_all(y, y_tilde))
             else:
-                val, g = losses_mod.l_seg_timestamps(
-                    y, crop.aug_positions, crop.aug_classes, with_grad=True
-                )
-                parts["seg"] = parts.get("seg", 0.0) + val / stages
-            dy[s] += g / stages
+                add_stage_term("seg", s, 1.0, losses_mod.l_seg_timestamps(
+                    y, crop.aug_positions, crop.aug_classes
+                ))
             if weights.lambda_s > 0 and y.shape[1] >= 2:
-                val, g = losses_mod.l_smooth(y, weights.tau_trunc, with_grad=True)
-                parts["smooth"] = parts.get("smooth", 0.0) + val / stages
-                dy[s] += weights.lambda_s * g / stages
+                add_stage_term("smooth", s, weights.lambda_s, losses_mod.l_smooth(
+                    y, weights.tau_trunc
+                ))
             if weights.lambda_conf > 0 and len(crop.ann) >= 2:
-                val, g = losses_mod.l_conf(y, crop.ann.positions, crop.ann.classes, with_grad=True)
-                parts["conf"] = parts.get("conf", 0.0) + val / stages
-                dy[s] += weights.lambda_conf * g / stages
+                add_stage_term("conf", s, weights.lambda_conf, losses_mod.l_conf(
+                    y, crop.ann.positions, crop.ann.classes
+                ))
 
         dy_s_logits = None
         dv = None
@@ -405,7 +403,6 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
                 outputs.y_s_logits,
                 crop.multilabel,
                 include_background=config.include_background_cls,
-                with_grad=True,
             )
             parts["cls"] = val
 
@@ -433,13 +430,11 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
                     anchor_count=config.anchor_count,
                 )
                 if mined:
-                    val, d_vn = contrast_mod.info_nce(
-                        mined, vn, state.bank, weights.tau_contrast, with_grad=True
-                    )
+                    val, d_vn = contrast_mod.info_nce(mined, vn, state.bank, weights.tau_contrast)
                     parts["con"] = val
                     dv = net_mod.l2_normalize_backward(weights.lambda_con * d_vn, vn, norms)
 
-        total = losses_mod.combined(crop_phase, parts, weights)
+        total = losses_mod.combined(parts, weights)
         parts["total"] = total
         if not np.isfinite(total):
             path = _dump_diagnostics(diag_dir, crop, x, outputs, parts)
@@ -461,14 +456,13 @@ def _train_batch(batch, train_set, state, config, phase, pseudo_labels, rng_mine
             parts_sum[k] = parts_sum.get(k, 0.0) + v
 
     n = len(batch)
-    _adam_step(state, {k: v / n for k, v in grad_sum.items()}, config)
+    _adam_step(state, {k: v / n for k, v in grad_sum.items()})
     return {k: v / n for k, v in parts_sum.items()}
 
 
-def _adam_step(state, grads, config):
+def _adam_step(state, grads):
     state.adam_t += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    t = state.adam_t
+    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.adam_t
     for k, g in grads.items():
         state.adam_m[k] = b1 * state.adam_m[k] + (1 - b1) * g
         state.adam_v[k] = b2 * state.adam_v[k] + (1 - b2) * g * g
@@ -498,13 +492,18 @@ def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
     return path
 
 
-def evaluate(state, data_set):
-    """Argmax of the final stage per sample, scored against dense labels."""
-    pairs = []
+def predict(state, data_set):
+    """Argmax of the final stage per sample, one array per sequence."""
+    preds = []
     for item in data_set:
         outputs = net_mod.forward(item.sequence.data, state.params, state.config.net)
-        pred = np.argmax(outputs.y_prob[-1], axis=0)
-        pairs.append((pred, item.labels.labels))
+        preds.append(np.argmax(outputs.y_prob[-1], axis=0))
+    return preds
+
+
+def evaluate(state, data_set):
+    """``predict``, scored against dense labels."""
+    pairs = [(pred, item.labels.labels) for pred, item in zip(predict(state, data_set), data_set)]
     return evaluate_many(pairs, state.config.net.num_classes)
 
 

@@ -17,7 +17,7 @@ def class_color(index, num_classes):
     return f"hsl({hue:.0f},70%,55%)"
 
 
-def segmentation_ribbon_svg(rows, num_classes, width=960, band_height=28, gap=6):
+def segmentation_ribbon_svg(rows, num_classes):
     """Render named label rows (e.g. truth vs prediction) as color bands.
 
     ``rows`` is a list of (name, labels) with labels as int arrays of equal
@@ -26,7 +26,7 @@ def segmentation_ribbon_svg(rows, num_classes, width=960, band_height=28, gap=6)
     if not rows:
         raise ValueError("need at least one row")
     t_len = len(rows[0][1])
-    label_w = 90
+    width, band_height, gap, label_w = 960, 28, 6, 90  # pixels
     height = len(rows) * (band_height + gap) + gap
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + label_w}"'

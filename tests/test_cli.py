@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import wsseg.net as net_mod
 from wsseg.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -115,6 +116,20 @@ def test_pseudo_and_cam_dumps(pipeline):
     ) == 0
     cams = np.loadtxt(out_c / sorted(os.listdir(out_c))[0], delimiter=",", skiprows=1)
     assert cams.min() >= 0.0
+
+
+def test_eval_runs_the_network_once_per_sequence(pipeline, tmp_path, monkeypatch):
+    _, _, data, run, evald = pipeline
+    calls = []
+    forward = net_mod.forward
+    monkeypatch.setattr(net_mod, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    out = tmp_path / "eval"
+    assert main(
+        ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data / "test"),
+         "--out", str(out)]
+    ) == 0
+    assert len(calls) == len(os.listdir(data / "test")) == 2
+    assert _report(out / "eval_report.csv") == _report(evald / "eval_report.csv")
 
 
 def test_report_aggregates_runs(pipeline, tmp_path):

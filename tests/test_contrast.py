@@ -126,14 +126,14 @@ def test_info_nce_no_negatives_is_zero(rng):
     vn = _unit_rows(rng, 3, 4).T
     bank = _bank(_unit_rows(rng, 2, 4))
     batch = to_batch([(0, (1,), (1.0,), ())], 2)
-    assert info_nce(batch, vn, bank, tau=0.1) == 0.0
+    assert info_nce(batch, vn, bank, tau=0.1)[0] == 0.0
 
 
 def test_info_nce_symmetric_similarities_log2():
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[1.0, 0.0], [1.0, 0.0]])  # both prototypes equal: v.P equal
     batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
-    loss = info_nce(batch, vn, bank, tau=0.5)
+    loss = info_nce(batch, vn, bank, tau=0.5)[0]
     np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_info_nce_scalar_oracle():
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[1.0, 0.0], [-1.0, 0.0]])
     batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
-    loss = info_nce(batch, vn, bank, tau=1.0)
+    loss = info_nce(batch, vn, bank, tau=1.0)[0]
     np.testing.assert_allclose(loss, 0.126928011042972, rtol=1e-10)
 
 
@@ -150,11 +150,11 @@ def test_info_nce_shift_invariance(rng):
     vn = _unit_rows(rng, 1, 3).T
     base = _unit_rows(rng, 3, 3)
     batch = to_batch([(0, (0,), (1.0,), (1, 2))], 3)
-    loss_a = info_nce(batch, vn, _bank(base), tau=0.3)
+    loss_a = info_nce(batch, vn, _bank(base), tau=0.3)[0]
     # adding a constant vector along v to every prototype shifts all
     # similarities of the single anchor equally
     shift = 0.37 * vn[:, 0]
-    loss_b = info_nce(batch, vn, _bank(base + shift), tau=0.3)
+    loss_b = info_nce(batch, vn, _bank(base + shift), tau=0.3)[0]
     np.testing.assert_allclose(loss_a, loss_b, atol=1e-10)
 
 
@@ -164,7 +164,7 @@ def test_info_nce_nonnegative(rng):
         vn, bank, mask, y_prob, ann = _setup(local)
         batch = mine_pairs(vn, mask, y_prob, ann, bank, seed=seed)
         if batch:
-            assert info_nce(batch, vn, bank, tau=0.2) >= 0.0
+            assert info_nce(batch, vn, bank, tau=0.2)[0] >= 0.0
 
 
 def test_info_nce_requires_positive_temperature(rng):
@@ -189,8 +189,8 @@ def test_info_nce_gradient_matches_finite_differences(rng):
         ],
         3,
     )
-    loss, grad = info_nce(batch, vn, bank, tau=0.1, with_grad=True)
-    numeric = central_difference(lambda: info_nce(batch, vn, bank, tau=0.1), vn, step=1e-4)
+    loss, grad = info_nce(batch, vn, bank, tau=0.1)
+    numeric = central_difference(lambda: info_nce(batch, vn, bank, tau=0.1)[0], vn, step=1e-4)
     assert_grad_close(grad, numeric)
 
 
@@ -202,7 +202,7 @@ def test_info_nce_mixture_positive_uses_weighted_vector(rng):
     s_pos = p_mix @ vn[:, 0] / 0.2
     s_neg = bank.p[2] @ vn[:, 0] / 0.2
     want = -(s_pos - np.logaddexp(s_pos, s_neg))
-    np.testing.assert_allclose(info_nce(batch, vn, bank, tau=0.2), want, rtol=1e-10)
+    np.testing.assert_allclose(info_nce(batch, vn, bank, tau=0.2)[0], want, rtol=1e-10)
 
 
 # ------------------------------------------------- loop reference oracles
@@ -248,7 +248,7 @@ def test_info_nce_matches_loop_reference():
         if not pairs:
             continue
         tau = float(rng.uniform(0.05, 1.0))
-        loss, grad = info_nce(to_batch(pairs, bank.p.shape[0]), vn, bank, tau, with_grad=True)
+        loss, grad = info_nce(to_batch(pairs, bank.p.shape[0]), vn, bank, tau)
         want_loss, want_grad = info_nce_loop(pairs, vn, bank, tau)
         np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)

@@ -192,7 +192,7 @@ def test_length_mismatch_raises():
         accuracy([0, 1], [0, 1, 2])
 
 
-@pytest.mark.parametrize(
+every_entry_point = pytest.mark.parametrize(
     "metric",
     [
         accuracy,
@@ -205,9 +205,20 @@ def test_length_mismatch_raises():
     ids=["accuracy", "class_average_f", "jaccard_index", "segment_iou", "overfill_underfill",
          "evaluate_many"],
 )
+
+
+@every_entry_point
 def test_negative_labels_raise(metric):
     for pred, truth in (([-1, 0, 0], [0, 0, 0]), ([0, 0, 0], [0, -2, 0])):
         with pytest.raises(ValueError, match="non-negative"):
+            metric(pred, truth)
+
+
+@every_entry_point
+def test_non_integer_labels_raise(metric):
+    # a float label used to be truncated: [0.7, 1.2, 2.9] scored as [0, 1, 2]
+    for pred, truth in (([0.7, 1.2, 2.9], [0, 1, 2]), ([0, 1, 2], [0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="integer"):
             metric(pred, truth)
 
 

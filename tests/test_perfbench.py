@@ -1,5 +1,6 @@
 """The benchmark's stand-alone checks still import and pass against the
-package: they fail loudly if a name they read from ``wsseg`` goes away."""
+package, and its tracer finds every function it wraps: each fails loudly
+if a name it reads from ``wsseg`` goes away."""
 
 import subprocess
 import sys
@@ -17,3 +18,19 @@ def test_perfbench_script_exits_zero(script):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_tracer_finds_every_wrapped_name(monkeypatch):
+    # a missing name only prints a note in a run and its layer reads 0
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    originals = [getattr(tracer.modules[mod], attr, None) for mod, attr, _, _ in tracing.WRAPPED]
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
+    restored = [getattr(tracer.modules[mod], attr) for mod, attr, _, _ in tracing.WRAPPED]
+    assert all(a is b for a, b in zip(restored, originals))

@@ -135,10 +135,15 @@ def test_sequence_multilabel_empty_and_duplicates():
 
 
 def test_sequence_multilabel_range_error():
-    for cls in (5, -1):
-        ann = TimestampAnnotations(np.array([0]), np.array([cls]))
-        with pytest.raises(ValueError, match="out of range"):
-            sequence_multilabel(ann, 3)
+    ann = TimestampAnnotations(np.array([0]), np.array([5]))
+    with pytest.raises(ValueError, match="out of range"):
+        sequence_multilabel(ann, 3)
+
+
+def test_annotations_reject_negative_positions_and_classes():
+    for positions, classes in (([0, 4], [-1, 1]), ([-2, 4], [0, 1]), ([-1], [0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TimestampAnnotations(np.array(positions), np.array(classes))
 
 
 def _spec(**kw):

@@ -98,9 +98,13 @@ def test_config_dict_round_trip():
 
 def test_retired_config_keys_dropped_at_their_only_value():
     config = _config()
-    old = dict(config.to_dict(), pseudo_per_batch=False, normalize_cams=True)
+    old = dict(config.to_dict(), pseudo_per_batch=False, normalize_cams=True,
+               adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
     assert TrainConfig.from_dict(old) == config
-    for key, value in (("pseudo_per_batch", True), ("normalize_cams", False)):
+    assert TrainConfig.from_dict(json.loads(json.dumps(old))) == config
+    for key, value in (("pseudo_per_batch", True), ("normalize_cams", False),
+                       ("pseudo_per_batch", 0), ("normalize_cams", 1),
+                       ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6)):
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(dict(config.to_dict(), **{key: value}))
 
@@ -118,10 +122,14 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
     config = _config()
     path = tmp_path / "old.npz"
     save_checkpoint(_untrained(config, 0), path)
-    _rewrite_meta_config(path, pseudo_per_batch=False, normalize_cams=True)
+    _rewrite_meta_config(path, pseudo_per_batch=False, normalize_cams=True,
+                         adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
     assert load_checkpoint(path).config == config
     _rewrite_meta_config(path, pseudo_per_batch=True)
     with pytest.raises(ValueError, match="pseudo_per_batch"):
+        load_checkpoint(path)
+    _rewrite_meta_config(path, pseudo_per_batch=False, adam_eps=1e-6)
+    with pytest.raises(ValueError, match="adam_eps"):
         load_checkpoint(path)
 
 
@@ -256,6 +264,19 @@ def test_pseudo_phase_runs_and_logs_segall():
     assert len(pseudo_epochs) == 2
     assert all(r["loss_segall"] > 0.0 for r in pseudo_epochs)
     assert all(r["loss_seg"] == 0.0 for r in pseudo_epochs)
+
+
+def test_pseudo_phase_keeps_timestamp_term_without_pseudo_labels(monkeypatch):
+    import wsseg.trainer as trainer_mod
+
+    monkeypatch.setattr(trainer_mod, "generate_pseudo_for_sequence",
+                        lambda data, ann, *args: (None, None, np.unique(ann.classes)))
+    data = _corpus(4, seed=8)
+    _, logs = train(data, data[:1], _config())
+    pseudo_epochs = [r for r in logs if r["phase"] == "pseudo"]
+    assert len(pseudo_epochs) == 2
+    assert all(r["loss_seg"] > 0.0 and r["loss_segall"] == 0.0 for r in pseudo_epochs)
+    assert all(r["loss_cls"] > 0.0 and r["loss_con"] > 0.0 for r in pseudo_epochs)
 
 
 def test_sinkhorn_nonconvergence_warns_once_per_regeneration():
