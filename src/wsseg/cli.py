@@ -23,7 +23,6 @@ from .seqdata import (
     SyntheticSpec,
     generate_synthetic,
     load_sequence,
-    sample_timestamps,
     write_sequence_csv,
 )
 from .trainer import LabeledSequence, TrainConfig, load_checkpoint, save_checkpoint
@@ -280,9 +279,7 @@ def cmd_pseudo(args):
     data, meta = load_split(root, split)
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else state.config.seed
-    rng = np.random.default_rng(seed)
-    for item in data:
-        ann = sample_timestamps(item.labels, int(rng.integers(2 ** 63)))
+    for item, ann in zip(data, trainer_mod.training_annotations(data, seed)):
         labels, plan, classes = trainer_mod.generate_pseudo_for_sequence(
             item.sequence.data, ann, state.bank, state.params, state.config
         )

@@ -114,25 +114,24 @@ def l_conf(y_prob, positions, classes):
     return loss, grad
 
 
-def l_cls(logits, targets, include_background=False):
-    """Multi-label soft margin loss over the non-background classes."""
+def l_cls(logits, targets):
+    """Multi-label soft margin loss over the non-background classes (index
+    0 is the background and is excluded)."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     c = logits.size
-    if c < 2 and not include_background:
+    if c < 2:
         raise ValueError("need at least two classes to exclude the background")
-    start = 0 if include_background else 1
-    sel = slice(start, c)
-    x = logits[sel]
-    y = targets[sel]
+    x = logits[1:]
+    y = targets[1:]
     # stable log(sigmoid(x)) and log(1 - sigmoid(x))
     log_sig = -np.logaddexp(0.0, -x)
     log_one_minus = -np.logaddexp(0.0, x)
-    count = c - start
+    count = c - 1
     loss = float(-(y * log_sig + (1.0 - y) * log_one_minus).sum() / count)
     grad = np.zeros_like(logits)
     sig = 1.0 / (1.0 + np.exp(-x))
-    grad[sel] = (sig - y) / count
+    grad[1:] = (sig - y) / count
     return loss, grad
 
 

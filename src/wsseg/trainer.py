@@ -45,7 +45,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Retired config keys and the one value each could still hold: older
 # checkpoints and configs carry them, and from_dict drops them.
 RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
-                "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
+                "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+                "include_background_cls": False}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -83,7 +84,6 @@ class TrainConfig:
     eps_hard: float = 0.5
     mixed_fraction: float = 0.0
     patience: int = 20
-    include_background_cls: bool = False
 
     def __post_init__(self):
         if self.epochs_init > self.epochs_max:
@@ -126,11 +126,35 @@ class TrainState:
     adam_t: int
     epoch: int  # completed epochs
     lr: float
-    rng_batch_state: dict
-    rng_mine_state: dict
+    rng_batch: np.random.Generator  # crop order
+    rng_mine: np.random.Generator  # contrast-mining seeds
     best_f_m: float
     best_epoch: int
     epochs_since_best: int
+
+
+def _streams(seed):
+    """A run's five independent seed streams: parameter init, timestamps,
+    supervision mixing, crop order and contrast mining."""
+    return np.random.SeedSequence(seed).spawn(5)
+
+
+def new_state(config):
+    """The untrained state a run of ``config`` starts from."""
+    ss_init, _, _, ss_batch, ss_mine = _streams(config.seed)
+    params = net_mod.init_params(config.net, ss_init)
+    bank = PrototypeBank(config.net.num_classes, config.net.projector_dim, config.proto_momentum)
+    moments = [{k: np.zeros_like(v) for k, v in params.items()} for _ in range(2)]
+    # positional, in field order
+    return TrainState(config, params, bank, *moments, 0, 0, config.lr,
+                      np.random.default_rng(ss_batch), np.random.default_rng(ss_mine), -1.0, 0, 0)
+
+
+def training_annotations(data_set, seed):
+    """The timestamps a run at ``seed`` annotates ``data_set`` with: one
+    per segment of each sequence's dense labels."""
+    rng = np.random.default_rng(_streams(seed)[1])
+    return [sample_timestamps(item.labels, int(rng.integers(2 ** 63))) for item in data_set]
 
 
 @dataclass
@@ -150,6 +174,8 @@ def mix_supervision(annotations, labels, fraction, seed):
     (positions, classes) arrays including the original timestamps."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
+    if fraction == 0.0:  # nothing to promote, so no segments to walk
+        return annotations.positions.copy(), annotations.classes.copy()
     rng = np.random.default_rng(seed)
     chosen = {int(p): int(c) for p, c in zip(annotations.positions, annotations.classes)}
     for seg in segments_of(labels):
@@ -202,11 +228,11 @@ def generate_pseudo_for_sequence(data, annotations, bank, params, config):
     Returns (PseudoLabels | None, TransportPlan | None, classes_present);
     None when some class in the annotations has no initialized prototype.
     """
-    outputs = net_mod.forward(data, params, config.net)
-    vn, _ = net_mod.l2_normalize_columns(outputs.v)
     classes_present = np.unique(annotations.classes)
     if not bank.initialized[classes_present].all():
         return None, None, classes_present
+    outputs = net_mod.forward(data, params, config.net)
+    vn, _ = net_mod.l2_normalize_columns(outputs.v)
     plan = otrans_mod.solve_order_preserving(
         vn.T,
         bank.p[classes_present],
@@ -236,21 +262,10 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     if not val_set:
         raise ValueError("val_set is empty")
     c = config.net.num_classes
-    seeds = np.random.SeedSequence(config.seed).spawn(5)
-    ss_init, ss_ts, ss_mix, ss_batch, ss_mine = seeds
-
-    ts_rng = np.random.default_rng(ss_ts)
-    annotations = [
-        sample_timestamps(item.labels, int(ts_rng.integers(2 ** 63))) for item in train_set
-    ]
-    mix_rng = np.random.default_rng(ss_mix)
-    aug = []
-    for item, ann in zip(train_set, annotations):
-        seed = int(mix_rng.integers(2 ** 63))
-        if config.mixed_fraction > 0.0:
-            aug.append(mix_supervision(ann, item.labels, config.mixed_fraction, seed))
-        else:
-            aug.append((ann.positions.copy(), ann.classes.copy()))
+    annotations = training_annotations(train_set, config.seed)
+    mix_rng = np.random.default_rng(_streams(config.seed)[2])
+    aug = [mix_supervision(ann, item.labels, config.mixed_fraction, int(mix_rng.integers(2 ** 63)))
+           for item, ann in zip(train_set, annotations)]
 
     crops = []
     for idx, (item, ann) in enumerate(zip(train_set, annotations)):
@@ -258,27 +273,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             crops.append(_crop_views(idx, start, stop, ann, aug[idx][0], aug[idx][1], c))
 
     if state is None:
-        params = net_mod.init_params(config.net, ss_init)
-        state = TrainState(
-            config=config,
-            params=params,
-            bank=PrototypeBank(c, config.net.projector_dim, config.proto_momentum),
-            adam_m={k: np.zeros_like(v) for k, v in params.items()},
-            adam_v={k: np.zeros_like(v) for k, v in params.items()},
-            adam_t=0,
-            epoch=0,
-            lr=config.lr,
-            rng_batch_state=np.random.default_rng(ss_batch).bit_generator.state,
-            rng_mine_state=np.random.default_rng(ss_mine).bit_generator.state,
-            best_f_m=-1.0,
-            best_epoch=0,
-            epochs_since_best=0,
-        )
-
-    rng_batch = np.random.default_rng()
-    rng_batch.bit_generator.state = state.rng_batch_state
-    rng_mine = np.random.default_rng()
-    rng_mine.bit_generator.state = state.rng_mine_state
+        state = new_state(config)
 
     logs = []
     for epoch in range(state.epoch, config.epochs_max):
@@ -289,14 +284,12 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         if phase == "pseudo":
             pseudo_labels = _regenerate_pseudo(train_set, annotations, aug, state, config)
 
-        order = rng_batch.permutation(len(crops))
+        order = state.rng_batch.permutation(len(crops))
         totals = {}
         n_batches = 0
         for b0 in range(0, order.size, config.batch_size):
             batch = [crops[i] for i in order[b0 : b0 + config.batch_size]]
-            parts_mean = _train_batch(
-                batch, train_set, state, config, pseudo_labels, rng_mine, diag_dir
-            )
+            parts_mean = _train_batch(batch, train_set, state, config, pseudo_labels, diag_dir)
             for k, v in parts_mean.items():
                 totals[k] = totals.get(k, 0.0) + v
             n_batches += 1
@@ -304,8 +297,6 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         if (epoch + 1) % config.lr_period == 0:
             state.lr *= config.lr_factor
         state.epoch = epoch + 1
-        state.rng_batch_state = rng_batch.bit_generator.state
-        state.rng_mine_state = rng_mine.bit_generator.state
 
         report = evaluate(state, val_set)
         if report.f_m > state.best_f_m:
@@ -343,10 +334,9 @@ def _regenerate_pseudo(train_set, annotations, aug, state, config):
             out[idx] = None
             continue
         y = labels.y
-        if config.mixed_fraction > 0.0:
-            pos, cls = aug[idx]
-            y[:, pos] = 0.0
-            y[cls, pos] = 1.0
+        pos, cls = aug[idx]
+        y[:, pos] = 0.0
+        y[cls, pos] = 1.0
         out[idx] = y
     if unconverged:
         warnings.warn(
@@ -357,7 +347,7 @@ def _regenerate_pseudo(train_set, annotations, aug, state, config):
     return out
 
 
-def _train_batch(batch, train_set, state, config, pseudo_labels, rng_mine, diag_dir):
+def _train_batch(batch, train_set, state, config, pseudo_labels, diag_dir):
     params = state.params
     stages = config.net.stages
     weights = config.loss
@@ -399,11 +389,7 @@ def _train_batch(batch, train_set, state, config, pseudo_labels, rng_mine, diag_
         dy_s_logits = None
         dv = None
         if config.use_prototypes:
-            val, dy_s_logits = losses_mod.l_cls(
-                outputs.y_s_logits,
-                crop.multilabel,
-                include_background=config.include_background_cls,
-            )
+            val, dy_s_logits = losses_mod.l_cls(outputs.y_s_logits, crop.multilabel)
             parts["cls"] = val
 
             cams = cam_mod.compute_cams(outputs.z, params["ml.w"])
@@ -426,7 +412,7 @@ def _train_batch(batch, train_set, state, config, pseudo_labels, rng_mine, diag_
                     outputs.y_prob[-1],
                     crop.ann,
                     state.bank,
-                    seed=int(rng_mine.integers(2 ** 63)),
+                    seed=int(state.rng_mine.integers(2 ** 63)),
                     anchor_count=config.anchor_count,
                 )
                 if mined:
@@ -507,30 +493,55 @@ def evaluate(state, data_set):
     return evaluate_many(pairs, state.config.net.num_classes)
 
 
+def _as_is(value, *_):
+    return value
+
+
+def _generator(bit_state, *_):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = bit_state
+    return rng
+
+
+def _bank(arrays, fields):
+    config = fields["config"]
+    bank = PrototypeBank(config.net.num_classes, config.net.projector_dim, config.proto_momentum)
+    bank.p, bank.initialized = arrays["p"], arrays["initialized"]
+    return bank
+
+
+# Where each TrainState field lives in a checkpoint, in file order:
+# (key, field, encode, decode). A key ending in "." prefixes one array per
+# entry of the encoded dict; any other key is an entry of the JSON meta
+# blob. decode also gets the fields decoded so far; meta entries come
+# first, so the bank can read the config.
+CHECKPOINT_FIELDS = (
+    ("param.", "params", _as_is, _as_is),
+    ("adam_m.", "adam_m", _as_is, _as_is),
+    ("adam_v.", "adam_v", _as_is, _as_is),
+    ("bank.", "bank", lambda bank: {"p": bank.p, "initialized": bank.initialized}, _bank),
+    ("adam_t", "adam_t", _as_is, _as_is),
+    ("epoch", "epoch", _as_is, _as_is),
+    ("lr", "lr", _as_is, _as_is),
+    ("rng_batch_state", "rng_batch", lambda rng: rng.bit_generator.state, _generator),
+    ("rng_mine_state", "rng_mine", lambda rng: rng.bit_generator.state, _generator),
+    ("best_f_m", "best_f_m", _as_is, _as_is),
+    ("best_epoch", "best_epoch", _as_is, _as_is),
+    ("epochs_since_best", "epochs_since_best", _as_is, _as_is),
+    ("config", "config", TrainConfig.to_dict, lambda d, _: TrainConfig.from_dict(d)),
+)
+
+
 def save_checkpoint(state, path):
-    """Single-file npz dump: parameters, optimizer moments, prototype bank,
-    and a JSON metadata blob (schema documented in the README)."""
-    arrays = {}
-    for k, v in state.params.items():
-        arrays[f"param.{k}"] = v
-    for k, v in state.adam_m.items():
-        arrays[f"adam_m.{k}"] = v
-    for k, v in state.adam_v.items():
-        arrays[f"adam_v.{k}"] = v
-    arrays["bank.p"] = state.bank.p
-    arrays["bank.initialized"] = state.bank.initialized
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "adam_t": state.adam_t,
-        "epoch": state.epoch,
-        "lr": state.lr,
-        "rng_batch_state": state.rng_batch_state,
-        "rng_mine_state": state.rng_mine_state,
-        "best_f_m": state.best_f_m,
-        "best_epoch": state.best_epoch,
-        "epochs_since_best": state.epochs_since_best,
-        "config": state.config.to_dict(),
-    }
+    """Single-file npz dump of every field of ``state`` (schema documented
+    in the README)."""
+    arrays, meta = {}, {"version": CHECKPOINT_VERSION}
+    for key, name, encode, _ in CHECKPOINT_FIELDS:
+        value = encode(getattr(state, name))
+        if key.endswith("."):
+            arrays.update((key + k, v) for k, v in value.items())
+        else:
+            meta[key] = value
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -540,33 +551,11 @@ def load_checkpoint(path):
         meta = json.loads(str(npz["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        config = TrainConfig.from_dict(meta["config"])
-        params = {}
-        adam_m = {}
-        adam_v = {}
-        for key in npz.files:
-            if key.startswith("param."):
-                params[key[len("param.") :]] = npz[key]
-            elif key.startswith("adam_m."):
-                adam_m[key[len("adam_m.") :]] = npz[key]
-            elif key.startswith("adam_v."):
-                adam_v[key[len("adam_v.") :]] = npz[key]
-        bank = PrototypeBank(config.net.num_classes, config.net.projector_dim,
-                             config.proto_momentum)
-        bank.p = npz["bank.p"]
-        bank.initialized = npz["bank.initialized"]
-    return TrainState(
-        config=config,
-        params=params,
-        bank=bank,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=meta["adam_t"],
-        epoch=meta["epoch"],
-        lr=meta["lr"],
-        rng_batch_state=meta["rng_batch_state"],
-        rng_mine_state=meta["rng_mine_state"],
-        best_f_m=meta["best_f_m"],
-        best_epoch=meta["best_epoch"],
-        epochs_since_best=meta["epochs_since_best"],
-    )
+        fields = {}
+        for key, name, _, decode in sorted(CHECKPOINT_FIELDS, key=lambda e: e[0].endswith(".")):
+            if key.endswith("."):
+                raw = {k[len(key):]: npz[k] for k in npz.files if k.startswith(key)}
+            else:
+                raw = meta[key]
+            fields[name] = decode(raw, fields)
+    return TrainState(**fields)

@@ -1,6 +1,7 @@
 """CLI subcommands: pipeline smoke, exit codes, artifact determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import wsseg.net as net_mod
+import wsseg.trainer as trainer_mod
 from wsseg.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
     EXIT_USAGE,
+    load_split,
     main,
 )
 
@@ -116,6 +119,29 @@ def test_pseudo_and_cam_dumps(pipeline):
     ) == 0
     cams = np.loadtxt(out_c / sorted(os.listdir(out_c))[0], delimiter=",", skiprows=1)
     assert cams.min() >= 0.0
+
+
+def test_pseudo_uses_the_timestamps_training_drew(pipeline, tmp_path, monkeypatch):
+    _, _, data, run, _ = pipeline
+    seen = []
+    generate = trainer_mod.generate_pseudo_for_sequence
+    monkeypatch.setattr(trainer_mod, "generate_pseudo_for_sequence",
+                        lambda x, ann, *args: seen.append(ann) or generate(x, ann, *args))
+    train_set, _ = load_split(str(data), "train")
+    config = trainer_mod.load_checkpoint(run / "checkpoint.npz").config
+    # one pseudo-phase epoch at the checkpoint's seed reports train()'s timestamps
+    trainer_mod.train(train_set, train_set[:1],
+                      dataclasses.replace(config, epochs_init=0, epochs_max=1))
+    used_in_training = seen[:]
+    seen.clear()
+    assert main(
+        ["pseudo", "--checkpoint", str(run / "checkpoint.npz"),
+         "--data", str(data / "train"), "--out", str(tmp_path / "pseudo")]
+    ) == 0
+    assert len(seen) == len(used_in_training) == len(train_set)
+    for dumped, trained in zip(seen, used_in_training):
+        np.testing.assert_array_equal(dumped.positions, trained.positions)
+        np.testing.assert_array_equal(dumped.classes, trained.classes)
 
 
 def test_eval_runs_the_network_once_per_sequence(pipeline, tmp_path, monkeypatch):

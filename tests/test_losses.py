@@ -251,12 +251,16 @@ def test_cls_scalar_oracle():
 
 
 def test_cls_background_excluded():
-    # background logit wildly wrong must not matter when excluded
+    # a wildly wrong background logit and target change neither loss nor gradient
     logits = np.array([-40.0, 2.0, -1.0])
     targets = np.array([1, 1, 0])
-    incl = l_cls(logits, targets, include_background=True)[0]
-    excl = l_cls(logits, targets, include_background=False)[0]
-    assert incl > 10.0 and excl < 1.0
+    loss, grad = l_cls(logits, targets)
+    clean_loss, clean_grad = l_cls(np.array([0.0, 2.0, -1.0]), np.array([0, 1, 0]))
+    assert loss == clean_loss < 1.0
+    np.testing.assert_array_equal(grad, clean_grad)
+    assert grad[0] == 0.0
+    with pytest.raises(ValueError, match="background"):
+        l_cls(np.array([1.0]), np.array([1]))
 
 
 def test_cls_gradient(rng):

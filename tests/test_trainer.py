@@ -1,5 +1,7 @@
 """Training loop: determinism, resume, phases, supervision mixing."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -15,17 +17,21 @@ from wsseg.seqdata import (
     segments_of,
 )
 import wsseg.losses as losses_mod
-from wsseg.net import init_params
+import wsseg.net as net_mod
+import wsseg.trainer as trainer_mod
 from wsseg.proto import PrototypeBank
 from wsseg.trainer import (
+    CHECKPOINT_FIELDS,
     LabeledSequence,
     NonFiniteLossError,
     TrainConfig,
     TrainState,
     evaluate,
+    generate_pseudo_for_sequence,
     load_checkpoint,
     make_crops,
     mix_supervision,
+    new_state,
     save_checkpoint,
     train,
 )
@@ -69,16 +75,6 @@ def _config(**kw):
     return TrainConfig(**base)
 
 
-def _untrained(config, seed):
-    params = init_params(config.net, seed)
-    return TrainState(
-        config=config, params=params,
-        bank=PrototypeBank(3, 4), adam_m={}, adam_v={}, adam_t=0, epoch=0,
-        lr=config.lr, rng_batch_state={}, rng_mine_state={},
-        best_f_m=-1.0, best_epoch=0, epochs_since_best=0,
-    )
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(epochs_init=9, epochs_max=4)
@@ -99,12 +95,13 @@ def test_config_dict_round_trip():
 def test_retired_config_keys_dropped_at_their_only_value():
     config = _config()
     old = dict(config.to_dict(), pseudo_per_batch=False, normalize_cams=True,
-               adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
+               adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, include_background_cls=False)
     assert TrainConfig.from_dict(old) == config
     assert TrainConfig.from_dict(json.loads(json.dumps(old))) == config
     for key, value in (("pseudo_per_batch", True), ("normalize_cams", False),
                        ("pseudo_per_batch", 0), ("normalize_cams", 1),
-                       ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6)):
+                       ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6),
+                       ("include_background_cls", True), ("include_background_cls", 0)):
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(dict(config.to_dict(), **{key: value}))
 
@@ -121,9 +118,10 @@ def _rewrite_meta_config(path, **extra):
 def test_load_checkpoint_with_retired_config_keys(tmp_path):
     config = _config()
     path = tmp_path / "old.npz"
-    save_checkpoint(_untrained(config, 0), path)
+    save_checkpoint(new_state(config), path)
     _rewrite_meta_config(path, pseudo_per_batch=False, normalize_cams=True,
-                         adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
+                         adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+                         include_background_cls=False)
     assert load_checkpoint(path).config == config
     _rewrite_meta_config(path, pseudo_per_batch=True)
     with pytest.raises(ValueError, match="pseudo_per_batch"):
@@ -131,6 +129,52 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
     _rewrite_meta_config(path, pseudo_per_batch=False, adam_eps=1e-6)
     with pytest.raises(ValueError, match="adam_eps"):
         load_checkpoint(path)
+    _rewrite_meta_config(path, adam_eps=1e-8, include_background_cls=True)
+    with pytest.raises(ValueError, match="include_background_cls"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_table_covers_every_state_field():
+    names = [name for _, name, _, _ in CHECKPOINT_FIELDS]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(TrainState))
+
+
+def test_checkpoint_round_trips_every_field(tmp_path):
+    data = _corpus(2, seed=1)
+    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1, proto_momentum=0.7))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    for name in ("params", "adam_m", "adam_v"):
+        a, b = getattr(state, name), getattr(loaded, name)
+        assert sorted(a) == sorted(b)
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+    np.testing.assert_array_equal(loaded.bank.p, state.bank.p)
+    np.testing.assert_array_equal(loaded.bank.initialized, state.bank.initialized)
+    assert loaded.bank.momentum == state.bank.momentum
+    for name in ("rng_batch", "rng_mine"):
+        assert getattr(loaded, name).bit_generator.state == getattr(state, name).bit_generator.state
+    for name in ("config", "adam_t", "epoch", "lr", "best_f_m", "best_epoch",
+                 "epochs_since_best"):
+        assert getattr(loaded, name) == getattr(state, name)
+    # the generators carry on where the saved ones would have
+    assert loaded.rng_batch.integers(2 ** 63) == state.rng_batch.integers(2 ** 63)
+
+
+def test_new_state_is_what_train_starts_from():
+    data = _corpus(2, seed=1)
+    config = _config(epochs_max=1, epochs_init=1)
+    a, logs_a = train(data, data[:1], config)
+    b, logs_b = train(data, data[:1], config, state=new_state(config))
+    assert logs_a == logs_b
+    for key in a.params:
+        np.testing.assert_array_equal(a.params[key], b.params[key])
+    # a deep copy carries its own generators: drawing from it leaves the original's alone
+    fresh = new_state(config)
+    clone = copy.deepcopy(fresh)
+    first = clone.rng_batch.integers(2 ** 63)
+    assert fresh.rng_batch.integers(2 ** 63) == first
 
 
 def test_train_rejects_empty_sets():
@@ -168,8 +212,10 @@ def test_mix_supervision_counts(rng):
 def test_mix_supervision_extremes():
     labels = DenseLabels(np.repeat([0, 1], 12), 2)
     ann = sample_timestamps(labels, 1)
-    pos0, _ = mix_supervision(ann, labels, 0.0, seed=4)
+    pos0, cls0 = mix_supervision(ann, labels, 0.0, seed=4)
     np.testing.assert_array_equal(pos0, ann.positions)
+    np.testing.assert_array_equal(cls0, ann.classes)
+    assert pos0.dtype == cls0.dtype == np.int64
     pos1, cls1 = mix_supervision(ann, labels, 1.0, seed=4)
     np.testing.assert_array_equal(pos1, np.arange(24))
     np.testing.assert_array_equal(cls1, labels.labels)
@@ -221,9 +267,21 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     np.testing.assert_array_equal(state_cont.bank.p, state_full.bank.p)
 
 
-def test_phase1_only_never_invokes_pseudo(monkeypatch):
-    import wsseg.trainer as trainer_mod
+def test_pseudo_without_prototypes_skips_the_forward_pass(monkeypatch):
+    calls = []
+    forward = net_mod.forward
+    monkeypatch.setattr(net_mod, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    config = _config()
+    item = _corpus(1, seed=3)[0]
+    ann = sample_timestamps(item.labels, 0)
+    labels, plan, classes = generate_pseudo_for_sequence(
+        item.sequence.data, ann, PrototypeBank(3, 4), new_state(config).params, config)
+    assert labels is None and plan is None
+    np.testing.assert_array_equal(classes, np.unique(ann.classes))
+    assert calls == []
 
+
+def test_phase1_only_never_invokes_pseudo(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("pseudo machinery invoked")
 
@@ -267,8 +325,6 @@ def test_pseudo_phase_runs_and_logs_segall():
 
 
 def test_pseudo_phase_keeps_timestamp_term_without_pseudo_labels(monkeypatch):
-    import wsseg.trainer as trainer_mod
-
     monkeypatch.setattr(trainer_mod, "generate_pseudo_for_sequence",
                         lambda data, ann, *args: (None, None, np.unique(ann.classes)))
     data = _corpus(4, seed=8)
@@ -292,15 +348,14 @@ def test_sinkhorn_nonconvergence_warns_once_per_regeneration():
 
 
 def test_evaluate_repeatable_and_chance_level():
-    config = _config()
     data = _corpus(6, seed=9, t_len=400)
-    state = _untrained(config, 123)
+    state = new_state(_config(seed=123))
     a = evaluate(state, data)
     b = evaluate(state, data)
     assert a.as_row() == b.as_row()
     np.testing.assert_array_equal(a.per_class_f, b.per_class_f)
     # chance level holds on average over initializations
-    mean_acc = np.mean([evaluate(_untrained(config, s), data).acc for s in range(10)])
+    mean_acc = np.mean([evaluate(new_state(_config(seed=s)), data).acc for s in range(10)])
     assert abs(mean_acc - 1 / 3) <= 0.1
 
 
