@@ -281,8 +281,7 @@ def cmd_pseudo(args):
     seed = args.seed if args.seed is not None else state.config.seed
     for item, ann in zip(data, trainer_mod.training_annotations(data, seed)):
         labels, plan, classes = trainer_mod.generate_pseudo_for_sequence(
-            item.sequence.data, ann, state.bank, state.params, state.config
-        )
+            item.sequence.data, ann, state)
         sid = item.sequence.id
         if labels is None:
             print(f"{sid}: skipped (uninitialized prototypes for classes {classes.tolist()})")

@@ -63,10 +63,10 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
     """
     rng = np.random.default_rng(seed)
     c = bank.num_classes
-    init = bank.initialized_classes()
+    is_init = bank.initialized
+    init = np.flatnonzero(is_init)
     if init.size < 2:
         return _empty(c)
-    is_init = bank.initialized
     parts = []  # (anchors, pos_w, neg) of the regular, then the constraint pairs
 
     eligible = np.flatnonzero(is_init[mask_classes])

@@ -16,18 +16,12 @@ import numpy as np
 class PrototypeBank:
     num_classes: int
     dim: int
-    momentum: float = 0.9  # weight of the newly estimated prototype
     p: np.ndarray = field(init=False)
     initialized: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must be in [0, 1]")
         self.p = np.zeros((self.num_classes, self.dim))
         self.initialized = np.zeros(self.num_classes, dtype=bool)
-
-    def initialized_classes(self):
-        return np.flatnonzero(self.initialized)
 
 
 def estimate_prototype(v, cam_row, mask, k):
@@ -54,14 +48,15 @@ def estimate_prototype(v, cam_row, mask, k):
     return (v[:, mask] * weights[None, :]).sum(axis=1) / total
 
 
-def update_bank(bank, class_index, new_prototype):
-    """Momentum-fold a fresh estimate into the bank; first update sets the row."""
+def update_bank(bank, class_index, new_prototype, momentum):
+    """Momentum-fold a fresh estimate into the bank; first update sets the
+    row. ``momentum`` is the weight of the new estimate."""
     if class_index >= bank.num_classes:
         raise ValueError(f"class index {class_index} out of range")
     new_prototype = np.asarray(new_prototype, dtype=np.float64)
     if bank.initialized[class_index]:
         bank.p[class_index] = (
-            bank.momentum * new_prototype + (1.0 - bank.momentum) * bank.p[class_index]
+            momentum * new_prototype + (1.0 - momentum) * bank.p[class_index]
         )
     else:
         bank.p[class_index] = new_prototype

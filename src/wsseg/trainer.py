@@ -9,6 +9,9 @@ cross-entropy for a dense soft cross-entropy against pseudo-labels; a
 sequence without pseudo-labels (some annotated class has no initialized
 prototype) keeps the timestamp term. Training is deterministic for a
 fixed seed, checkpointable, and exactly resumable.
+
+A run's settings have one home, ``TrainState.config``: ``train`` sets
+it, the helpers read it, and a checkpoint records it.
 """
 
 import json
@@ -88,16 +91,20 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_init > self.epochs_max:
             raise ValueError("epochs_init must be <= epochs_max")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
-        if not 0.0 <= self.mixed_fraction <= 1.0:
-            raise ValueError("mixed_fraction must lie in [0, 1]")
         if self.epochs_init < self.epochs_max and not self.use_prototypes:
             raise ValueError("the pseudo-label phase requires prototypes")
-        if min(self.batch_size, self.crop_len, self.proto_k, self.anchor_count) < 1:
-            raise ValueError("sizes must be >= 1")
+        for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("proto_momentum", "eps_hard", "mixed_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("batch_size", "crop_len", "proto_k", "anchor_count", "lr_period",
+                     "patience", "ot_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -118,7 +125,7 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    config: TrainConfig
+    config: TrainConfig  # the config that last trained the state
     params: dict
     bank: PrototypeBank
     adam_m: dict
@@ -143,7 +150,7 @@ def new_state(config):
     """The untrained state a run of ``config`` starts from."""
     ss_init, _, _, ss_batch, ss_mine = _streams(config.seed)
     params = net_mod.init_params(config.net, ss_init)
-    bank = PrototypeBank(config.net.num_classes, config.net.projector_dim, config.proto_momentum)
+    bank = PrototypeBank(config.net.num_classes, config.net.projector_dim)
     moments = [{k: np.zeros_like(v) for k, v in params.items()} for _ in range(2)]
     # positional, in field order
     return TrainState(config, params, bank, *moments, 0, 0, config.lr,
@@ -171,9 +178,8 @@ class _Crop:
 def mix_supervision(annotations, labels, fraction, seed):
     """Promote floor(fraction * length) uniformly chosen samples of every
     segment to ground-truth supervision; returns the augmented
-    (positions, classes) arrays including the original timestamps."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    (positions, classes) arrays including the original timestamps.
+    ``fraction`` is ``TrainConfig.mixed_fraction``, checked in [0, 1] there."""
     if fraction == 0.0:  # nothing to promote, so no segments to walk
         return annotations.positions.copy(), annotations.classes.copy()
     rng = np.random.default_rng(seed)
@@ -222,16 +228,18 @@ def _crop_views(seq_idx, start, stop, ann, aug_pos, aug_cls, num_classes):
     )
 
 
-def generate_pseudo_for_sequence(data, annotations, bank, params, config):
-    """Full-sequence pseudo-labels via order-preserving transport.
+def generate_pseudo_for_sequence(data, annotations, state):
+    """Full-sequence pseudo-labels via order-preserving transport, from the
+    network, prototype bank and transport settings of ``state``.
 
     Returns (PseudoLabels | None, TransportPlan | None, classes_present);
     None when some class in the annotations has no initialized prototype.
     """
+    config, bank = state.config, state.bank
     classes_present = np.unique(annotations.classes)
     if not bank.initialized[classes_present].all():
         return None, None, classes_present
-    outputs = net_mod.forward(data, params, config.net)
+    outputs = net_mod.forward(data, state.params, config.net)
     vn, _ = net_mod.l2_normalize_columns(outputs.v)
     plan = otrans_mod.solve_order_preserving(
         vn.T,
@@ -252,15 +260,22 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     """Run (or resume) training; returns the final state and per-epoch log
     records. Two runs with identical seeds and data produce identical logs.
 
-    Raises ``ValueError`` when ``train_set`` or ``val_set`` is empty. On a
-    non-finite loss it raises ``NonFiniteLossError``; with a ``diag_dir``
-    the offending crop's diagnostics are first written there as an
-    ``.npz``, without one none are written.
+    A resumed ``state`` adopts ``config``, which must keep its ``net``,
+    ``seed`` and ``lr``: ``ValueError`` otherwise, or when ``train_set`` or
+    ``val_set`` is empty. A non-finite loss raises ``NonFiniteLossError``;
+    with a ``diag_dir`` the offending crop's diagnostics are first written
+    there as an ``.npz``, without one none are written.
     """
     if not train_set:
         raise ValueError("train_set is empty")
     if not val_set:
         raise ValueError("val_set is empty")
+    if state is None:
+        state = new_state(config)
+    for name in ("net", "seed", "lr"):  # new_state consumed them
+        if getattr(config, name) != getattr(state.config, name):
+            raise ValueError(f"a resumed run cannot change {name}")
+    state.config = config
     c = config.net.num_classes
     annotations = training_annotations(train_set, config.seed)
     mix_rng = np.random.default_rng(_streams(config.seed)[2])
@@ -272,9 +287,6 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         for start, stop in make_crops(item.sequence.num_samples, ann, config.crop_len):
             crops.append(_crop_views(idx, start, stop, ann, aug[idx][0], aug[idx][1], c))
 
-    if state is None:
-        state = new_state(config)
-
     logs = []
     for epoch in range(state.epoch, config.epochs_max):
         phase = "pseudo" if epoch >= config.epochs_init else (
@@ -282,14 +294,14 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         )
         pseudo_labels = None
         if phase == "pseudo":
-            pseudo_labels = _regenerate_pseudo(train_set, annotations, aug, state, config)
+            pseudo_labels = _regenerate_pseudo(train_set, annotations, aug, state)
 
         order = state.rng_batch.permutation(len(crops))
         totals = {}
         n_batches = 0
         for b0 in range(0, order.size, config.batch_size):
             batch = [crops[i] for i in order[b0 : b0 + config.batch_size]]
-            parts_mean = _train_batch(batch, train_set, state, config, pseudo_labels, diag_dir)
+            parts_mean = _train_batch(batch, train_set, state, pseudo_labels, diag_dir)
             for k, v in parts_mean.items():
                 totals[k] = totals.get(k, 0.0) + v
             n_batches += 1
@@ -320,13 +332,11 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     return state, logs
 
 
-def _regenerate_pseudo(train_set, annotations, aug, state, config):
+def _regenerate_pseudo(train_set, annotations, aug, state):
     out = {}
     unconverged = solved = 0
     for idx, (item, ann) in enumerate(zip(train_set, annotations)):
-        labels, plan, _ = generate_pseudo_for_sequence(
-            item.sequence.data, ann, state.bank, state.params, config
-        )
+        labels, plan, _ = generate_pseudo_for_sequence(item.sequence.data, ann, state)
         if plan is not None:
             solved += 1
             unconverged += not plan.converged
@@ -340,15 +350,15 @@ def _regenerate_pseudo(train_set, annotations, aug, state, config):
         out[idx] = y
     if unconverged:
         warnings.warn(
-            f"Sinkhorn did not converge within ot_max_iters={config.ot_max_iters} for"
+            f"Sinkhorn did not converge within ot_max_iters={state.config.ot_max_iters} for"
             f" {unconverged} of {solved} sequences; their pseudo-labels come from the"
             " last iterate"
         )
     return out
 
 
-def _train_batch(batch, train_set, state, config, pseudo_labels, diag_dir):
-    params = state.params
+def _train_batch(batch, train_set, state, pseudo_labels, diag_dir):
+    config, params = state.config, state.params
     stages = config.net.stages
     weights = config.loss
     grad_sum = {k: np.zeros_like(v) for k, v in params.items()}
@@ -403,7 +413,7 @@ def _train_batch(batch, train_set, state, config, pseudo_labels, diag_dir):
                     mask = np.union1d(mask, ts_pos)
                 est = estimate_prototype(vn, cam_weights[cls_idx], mask, config.proto_k)
                 if est is not None:
-                    update_bank(state.bank, cls_idx, est)
+                    update_bank(state.bank, cls_idx, est, config.proto_momentum)
 
             if weights.lambda_con > 0:
                 mined = contrast_mod.mine_pairs(
@@ -493,19 +503,18 @@ def evaluate(state, data_set):
     return evaluate_many(pairs, state.config.net.num_classes)
 
 
-def _as_is(value, *_):
+def _as_is(value):
     return value
 
 
-def _generator(bit_state, *_):
+def _generator(bit_state):
     rng = np.random.default_rng()
     rng.bit_generator.state = bit_state
     return rng
 
 
-def _bank(arrays, fields):
-    config = fields["config"]
-    bank = PrototypeBank(config.net.num_classes, config.net.projector_dim, config.proto_momentum)
+def _bank(arrays):
+    bank = PrototypeBank(*arrays["p"].shape)
     bank.p, bank.initialized = arrays["p"], arrays["initialized"]
     return bank
 
@@ -513,8 +522,7 @@ def _bank(arrays, fields):
 # Where each TrainState field lives in a checkpoint, in file order:
 # (key, field, encode, decode). A key ending in "." prefixes one array per
 # entry of the encoded dict; any other key is an entry of the JSON meta
-# blob. decode also gets the fields decoded so far; meta entries come
-# first, so the bank can read the config.
+# blob. decode takes the stored value alone.
 CHECKPOINT_FIELDS = (
     ("param.", "params", _as_is, _as_is),
     ("adam_m.", "adam_m", _as_is, _as_is),
@@ -528,7 +536,7 @@ CHECKPOINT_FIELDS = (
     ("best_f_m", "best_f_m", _as_is, _as_is),
     ("best_epoch", "best_epoch", _as_is, _as_is),
     ("epochs_since_best", "epochs_since_best", _as_is, _as_is),
-    ("config", "config", TrainConfig.to_dict, lambda d, _: TrainConfig.from_dict(d)),
+    ("config", "config", TrainConfig.to_dict, TrainConfig.from_dict),
 )
 
 
@@ -552,10 +560,10 @@ def load_checkpoint(path):
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         fields = {}
-        for key, name, _, decode in sorted(CHECKPOINT_FIELDS, key=lambda e: e[0].endswith(".")):
+        for key, name, _, decode in CHECKPOINT_FIELDS:
             if key.endswith("."):
                 raw = {k[len(key):]: npz[k] for k in npz.files if k.startswith(key)}
             else:
                 raw = meta[key]
-            fields[name] = decode(raw, fields)
+            fields[name] = decode(raw)
     return TrainState(**fields)

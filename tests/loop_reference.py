@@ -26,7 +26,7 @@ CLAMP = 1e-12
 
 def mine_pairs_loop(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=64):
     rng = np.random.default_rng(seed)
-    init = bank.initialized_classes()
+    init = np.flatnonzero(bank.initialized)
     if init.size < 2:
         return []
     init_set = set(int(c) for c in init)

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. The training-based
 criteria (6-9) share a pinned synthetic corpus (C=5, D=6, 40 train / 10
 test, T=2000) and take several minutes; results are cached across tests
-within the session.
+within the session. They carry the ``slow`` marker, so
+``pytest -m "not slow"`` is the quick loop.
 """
 
 import functools
@@ -103,7 +104,7 @@ def test_criterion_1_gradients():
     bank = PrototypeBank(3, 4)
     for c in range(3):
         p = rng.standard_normal(4)
-        update_bank(bank, c, p / np.linalg.norm(p))
+        update_bank(bank, c, p / np.linalg.norm(p), momentum=0.9)
     batch = ContrastBatch(
         anchors=[0, 3, 6],
         pos_w=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
@@ -263,6 +264,7 @@ def test_criterion_5_metric_oracles():
 # --------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 @_criterion(6, "ablation ordering")
 def test_criterion_6_ablation_ordering():
     started = time.monotonic()
@@ -279,6 +281,7 @@ def test_criterion_6_ablation_ordering():
 # --------------------------------------------------------------- criterion 7
 
 
+@pytest.mark.slow
 @_criterion(7, "weak vs full supervision")
 def test_criterion_7_weak_vs_full():
     weak = _trained(("ablation", 4), ablation_config(4))[0]
@@ -291,6 +294,7 @@ def test_criterion_7_weak_vs_full():
 # --------------------------------------------------------------- criterion 8
 
 
+@pytest.mark.slow
 @_criterion(8, "mixed supervision monotonicity")
 def test_criterion_8_mixed_monotonic():
     f0 = _trained(("ablation", 4), ablation_config(4))[0]
@@ -306,6 +310,7 @@ def test_criterion_8_mixed_monotonic():
 # --------------------------------------------------------------- criterion 9
 
 
+@pytest.mark.slow
 @_criterion(9, "determinism")
 def test_criterion_9_determinism():
     train_set, val_set, test_set = _corpus()

@@ -215,6 +215,15 @@ def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     assert "pseudo_per_batch" in capsys.readouterr().err
 
 
+def test_bad_train_setting_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], lr_period=0)}))
+    code = main(["train", "--config", str(config), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert "lr_period" in capsys.readouterr().err
+
+
 def test_bad_config_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

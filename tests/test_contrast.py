@@ -13,10 +13,10 @@ from loop_reference import info_nce_loop, mine_pairs_loop, to_batch
 
 def _bank(vectors, momentum=0.9):
     vectors = np.asarray(vectors, dtype=np.float64)
-    bank = PrototypeBank(vectors.shape[0], vectors.shape[1], momentum)
+    bank = PrototypeBank(vectors.shape[0], vectors.shape[1])
     for c, v in enumerate(vectors):
         if np.any(v != 0.0):
-            update_bank(bank, c, v)
+            update_bank(bank, c, v, momentum)
     return bank
 
 
@@ -41,7 +41,7 @@ def _setup(rng, t_len=40, c=4, dim=6):
 def test_mine_requires_two_initialized_classes(rng):
     vn, _, mask, y_prob, ann = _setup(rng)
     poor = PrototypeBank(4, 6)
-    update_bank(poor, 1, np.ones(6) / np.sqrt(6))
+    update_bank(poor, 1, np.ones(6) / np.sqrt(6), momentum=0.9)
     assert not mine_pairs(vn, mask, y_prob, ann, poor, seed=0)
 
 
@@ -216,7 +216,7 @@ def _random_problem(rng):
     bank = PrototypeBank(c, dim)
     for cls in range(c):
         if rng.random() < 0.8:
-            update_bank(bank, cls, _unit_rows(rng, 1, dim)[0])
+            update_bank(bank, cls, _unit_rows(rng, 1, dim)[0], momentum=0.9)
     mask = rng.integers(0, c, size=t_len)
     y_prob = rng.dirichlet(np.ones(c), size=t_len).T
     n = int(rng.integers(0, min(t_len, 8) + 1))

@@ -51,28 +51,28 @@ def test_convexity_norm_bound(rng):
 
 
 def test_update_bank_momentum_cases():
-    bank = PrototypeBank(3, 2, momentum=1.0)
-    update_bank(bank, 1, np.array([2.0, 4.0]))
+    bank = PrototypeBank(3, 2)
+    update_bank(bank, 1, np.array([2.0, 4.0]), momentum=1.0)
     np.testing.assert_array_equal(bank.p[1], [2.0, 4.0])
-    update_bank(bank, 1, np.array([6.0, 8.0]))  # momentum 1: replace
+    update_bank(bank, 1, np.array([6.0, 8.0]), momentum=1.0)  # momentum 1: replace
     np.testing.assert_array_equal(bank.p[1], [6.0, 8.0])
 
-    bank = PrototypeBank(3, 2, momentum=0.0)
-    update_bank(bank, 0, np.array([1.0, 1.0]))  # first update always sets
-    update_bank(bank, 0, np.array([9.0, 9.0]))  # momentum 0: unchanged
+    bank = PrototypeBank(3, 2)
+    update_bank(bank, 0, np.array([1.0, 1.0]), momentum=0.0)  # first update always sets
+    update_bank(bank, 0, np.array([9.0, 9.0]), momentum=0.0)  # momentum 0: unchanged
     np.testing.assert_array_equal(bank.p[0], [1.0, 1.0])
 
-    bank = PrototypeBank(3, 2, momentum=0.5)
-    update_bank(bank, 2, np.array([0.0, 0.0]))
-    update_bank(bank, 2, np.array([2.0, 4.0]))
+    bank = PrototypeBank(3, 2)
+    update_bank(bank, 2, np.array([0.0, 0.0]), momentum=0.5)
+    update_bank(bank, 2, np.array([2.0, 4.0]), momentum=0.5)
     np.testing.assert_array_equal(bank.p[2], [1.0, 2.0])
 
 
 def test_update_bank_leaves_other_rows(rng):
-    bank = PrototypeBank(4, 3, momentum=0.7)
-    update_bank(bank, 0, rng.standard_normal(3))
+    bank = PrototypeBank(4, 3)
+    update_bank(bank, 0, rng.standard_normal(3), momentum=0.7)
     before = bank.p.copy()
-    update_bank(bank, 2, rng.standard_normal(3))
+    update_bank(bank, 2, rng.standard_normal(3), momentum=0.7)
     np.testing.assert_array_equal(bank.p[[0, 1, 3]], before[[0, 1, 3]])
     np.testing.assert_array_equal(bank.initialized, [True, False, True, False])
 
@@ -80,4 +80,4 @@ def test_update_bank_leaves_other_rows(rng):
 def test_update_bank_range_error():
     bank = PrototypeBank(2, 2)
     with pytest.raises(ValueError):
-        update_bank(bank, 5, np.zeros(2))
+        update_bank(bank, 5, np.zeros(2), momentum=0.9)

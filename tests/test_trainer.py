@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from wsseg.seqdata import (
 import wsseg.losses as losses_mod
 import wsseg.net as net_mod
 import wsseg.trainer as trainer_mod
-from wsseg.proto import PrototypeBank
 from wsseg.trainer import (
     CHECKPOINT_FIELDS,
     LabeledSequence,
@@ -84,6 +84,17 @@ def test_config_validation():
         _config(lr_factor=0.0)
     with pytest.raises(ValueError):
         _config(epochs_init=1, epochs_max=4, use_prototypes=False)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lr_period", 0), ("patience", 0), ("ot_max_iters", 0),
+    ("ot_rho", 0.0), ("ot_sigma", 0.0), ("ot_tol", 0.0), ("ot_tol", -1e-6),
+    ("eps_hard", 2.0), ("eps_hard", -0.1),
+    ("proto_momentum", 1.5), ("proto_momentum", -0.1), ("proto_momentum", float("nan")),
+])
+def test_config_rejects_bad_settings_when_built(name, value):
+    with pytest.raises(ValueError, match=name):
+        _config(**{name: value})
 
 
 def test_config_dict_round_trip():
@@ -152,7 +163,7 @@ def test_checkpoint_round_trips_every_field(tmp_path):
             np.testing.assert_array_equal(a[key], b[key])
     np.testing.assert_array_equal(loaded.bank.p, state.bank.p)
     np.testing.assert_array_equal(loaded.bank.initialized, state.bank.initialized)
-    assert loaded.bank.momentum == state.bank.momentum
+    assert loaded.config.proto_momentum == state.config.proto_momentum
     for name in ("rng_batch", "rng_mine"):
         assert getattr(loaded, name).bit_generator.state == getattr(state, name).bit_generator.state
     for name in ("config", "adam_t", "epoch", "lr", "best_f_m", "best_epoch",
@@ -267,6 +278,45 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     np.testing.assert_array_equal(state_cont.bank.p, state_full.bank.p)
 
 
+def test_resume_adopts_the_new_config(tmp_path):
+    data = _corpus(3, seed=2)
+    first, _ = train(data, data[:1], _config(epochs_max=2, epochs_init=2))
+    config = _config(epochs_max=4, epochs_init=2)
+    state, logs = train(data, data[:1], config, state=first)
+    assert [r["phase"] for r in logs] == ["pseudo", "pseudo"]
+    assert state.config == config
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    assert load_checkpoint(path).config == config
+
+
+@pytest.mark.parametrize("name, value", [
+    ("net", dataclasses.replace(_config().net, feature_dim=6)), ("seed", 8), ("lr", 0.002),
+])
+def test_resume_rejects_a_setting_the_state_was_built_with(name, value):
+    data = _corpus(2, seed=1)
+    state = new_state(_config())
+    params = copy.deepcopy(state.params)
+    with pytest.raises(ValueError, match=f"cannot change {name}"):
+        train(data, data[:1], _config(**{name: value}), state=state)
+    assert state.config == _config() and state.epoch == 0
+    for key in params:
+        np.testing.assert_array_equal(state.params[key], params[key])
+
+
+def test_proto_momentum_change_takes_effect_on_resume():
+    data = _corpus(3, seed=3)
+    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1))
+    initialized = state.bank.initialized.copy()
+    assert initialized.any()
+    before = state.bank.p.copy()
+    # momentum 0 keeps every initialized row as it was
+    state, _ = train(data, data[:1], _config(epochs_max=2, epochs_init=2, proto_momentum=0.0),
+                     state=state)
+    assert state.epoch == 2
+    np.testing.assert_array_equal(state.bank.p[initialized], before[initialized])
+
+
 def test_pseudo_without_prototypes_skips_the_forward_pass(monkeypatch):
     calls = []
     forward = net_mod.forward
@@ -274,8 +324,7 @@ def test_pseudo_without_prototypes_skips_the_forward_pass(monkeypatch):
     config = _config()
     item = _corpus(1, seed=3)[0]
     ann = sample_timestamps(item.labels, 0)
-    labels, plan, classes = generate_pseudo_for_sequence(
-        item.sequence.data, ann, PrototypeBank(3, 4), new_state(config).params, config)
+    labels, plan, classes = generate_pseudo_for_sequence(item.sequence.data, ann, new_state(config))
     assert labels is None and plan is None
     np.testing.assert_array_equal(classes, np.unique(ann.classes))
     assert calls == []
@@ -360,9 +409,13 @@ def test_evaluate_repeatable_and_chance_level():
 
 
 def test_early_stopping(monkeypatch):
-    data = _corpus(3, seed=10)
-    config = _config(epochs_max=4, epochs_init=4, patience=1)
-    state, logs = train(data, data[:1], config)
-    # patience 1: stops as soon as one epoch fails to improve
-    assert len(logs) <= 4
-    assert state.epochs_since_best >= 1 or len(logs) == 4
+    # validation F_m per epoch: a tie does not improve, a rise resets the count
+    scripted = iter([0.5, 0.4, 0.6, 0.6, 0.55, 0.9, 0.9, 0.9])
+    monkeypatch.setattr(trainer_mod, "evaluate", lambda state, data: SimpleNamespace(
+        f_m=next(scripted), acc=0.0, ji=0.0, iou=0.0, o_u=0.0))
+    data = _corpus(2, seed=10, t_len=150)
+    state, logs = train(data, data[:1], _config(epochs_max=8, epochs_init=8, patience=2))
+    # patience 2: stops after the second epoch in a row without a new best
+    assert [r["val_f_m"] for r in logs] == [0.5, 0.4, 0.6, 0.6, 0.55]
+    assert state.epoch == 5
+    assert (state.best_f_m, state.best_epoch, state.epochs_since_best) == (0.6, 3, 2)
