@@ -202,6 +202,14 @@ def _split_dir_of(data_path):
     raise CliError(EXIT_MISSING, f"no meta.json found at or above {data_path}")
 
 
+def _check_shape(meta, net, code):
+    """Exit with ``code`` unless the dataset's channel and class counts
+    (from its meta.json) are the network's ``in_dim`` and ``num_classes``."""
+    for key, expected in (("num_channels", net.in_dim), ("num_classes", net.num_classes)):
+        if meta[key] != expected:
+            raise CliError(code, f"dataset {key} is {meta[key]}, the network expects {expected}")
+
+
 def cmd_train(args):
     config_dict = _load_json(args.config)
     try:
@@ -212,7 +220,8 @@ def cmd_train(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid train config: {exc}")
     _require(args.data, "data directory")
-    train_set, _ = load_split(args.data, "train")
+    train_set, meta = load_split(args.data, "train")
+    _check_shape(meta, config.net, EXIT_CONFIG)
     val_set, _ = load_split(args.data, "val")
     os.makedirs(args.out, exist_ok=True)
     state, logs = trainer_mod.train(train_set, val_set, config, diag_dir=args.out)
@@ -241,8 +250,7 @@ def cmd_eval(args):
     state = _load_state(args.checkpoint)
     root, split = _split_dir_of(args.data)
     data, meta = load_split(root, split)
-    if meta["num_classes"] != state.config.net.num_classes:
-        raise CliError(EXIT_DATA, "dataset class count differs from the checkpoint")
+    _check_shape(meta, state.config.net, EXIT_DATA)
     os.makedirs(args.out, exist_ok=True)
     preds = trainer_mod.predict(state, data)
     report = evaluate_many(
@@ -277,6 +285,7 @@ def cmd_pseudo(args):
     state = _load_state(args.checkpoint)
     root, split = _split_dir_of(args.data)
     data, meta = load_split(root, split)
+    _check_shape(meta, state.config.net, EXIT_DATA)
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else state.config.seed
     for item, ann in zip(data, trainer_mod.training_annotations(data, seed)):
@@ -284,7 +293,8 @@ def cmd_pseudo(args):
             item.sequence.data, ann, state)
         sid = item.sequence.id
         if labels is None:
-            print(f"{sid}: skipped (uninitialized prototypes for classes {classes.tolist()})")
+            missing = classes[~state.bank.initialized[classes]]
+            print(f"{sid}: skipped (uninitialized prototypes for classes {missing.tolist()})")
             continue
         np.savetxt(
             os.path.join(args.out, f"q_tot_{sid}.csv"),
@@ -306,7 +316,8 @@ def cmd_pseudo(args):
 def cmd_cams(args):
     state = _load_state(args.checkpoint)
     root, split = _split_dir_of(args.data)
-    data, _ = load_split(root, split)
+    data, meta = load_split(root, split)
+    _check_shape(meta, state.config.net, EXIT_DATA)
     os.makedirs(args.out, exist_ok=True)
     for item in data:
         outputs = net_mod.forward(item.sequence.data, state.params, state.config.net)

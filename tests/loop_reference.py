@@ -8,9 +8,11 @@ the same loss and gradient up to summation order, and pseudo-label
 generation must give exactly the same labels. A pair is
 ``(anchor, pos_classes, pos_weights, neg_classes)``.
 
-``sinkhorn_direct`` iterates the scaling vectors of ``exp(S / reg)``
-directly instead of log-domain potentials, to cross-check the package's
-solver.
+Two Sinkhorn references cross-check the package's stabilized scaling
+solver: ``sinkhorn_log`` iterates log-domain potentials and forms the plan
+every iteration, so it must stop at the same iteration with the same plan
+up to rounding; ``sinkhorn_direct`` iterates the scaling vectors of
+``exp(S / reg)`` with no stabilization at all.
 """
 
 import math
@@ -207,20 +209,50 @@ class KernelOverflowError(ArithmeticError):
     """exp(score/reg) left the double range; rescale scores or raise reg."""
 
 
+def _residual(q, problem):
+    row = np.abs(q.sum(axis=1) - problem.alpha).max()
+    col = np.abs(q.sum(axis=0) - problem.beta).max()
+    return float(max(row, col))
+
+
+def _lse(a, axis):
+    peak = a.max(axis=axis, keepdims=True)
+    safe = np.where(np.isfinite(peak), peak, 0.0)
+    return np.log(np.exp(a - safe).sum(axis=axis)) + np.squeeze(safe, axis=axis)
+
+
+def sinkhorn_log(problem, max_iters=5000, tol=1e-6):
+    """Sinkhorn on the log-domain potentials f, g of exp(S / reg) * T,
+    stopping on the worst row or column deviation of the full plan."""
+    log_k = problem.score / problem.reg
+    if problem.log_prior is not None:
+        log_k = log_k + problem.log_prior
+    with np.errstate(divide="ignore"):
+        log_a = np.log(problem.alpha)
+        log_b = np.log(problem.beta)
+    f = np.zeros_like(log_a)
+    g = np.zeros_like(log_b)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        f = log_a - _lse(log_k + g[None, :], axis=1)
+        g = log_b - _lse(log_k + f[:, None], axis=0)
+        q = np.exp(f[:, None] + log_k + g[None, :])
+        residual = _residual(q, problem)
+        if residual <= tol:
+            return TransportPlan(q, iters, residual, True)
+    q = np.exp(f[:, None] + log_k + g[None, :])
+    return TransportPlan(q, iters, _residual(q, problem), False)
+
+
 def sinkhorn_direct(problem, max_iters=5000, tol=1e-6):
     """Sinkhorn on the scaling vectors u, v of the kernel exp(S / reg) * T."""
     k = np.exp(problem.score / problem.reg)
-    if problem.prior is not None:
-        k = k * problem.prior
+    if problem.log_prior is not None:
+        k = k * np.exp(problem.log_prior)
     if not np.all(np.isfinite(k)) or np.any(k.sum(axis=1) == 0) or np.any(k.sum(axis=0) == 0):
         raise KernelOverflowError(
             "kernel exp(score/reg) is not finite and positive; rescale scores or raise reg"
         )
-
-    def residual(q):
-        row = np.abs(q.sum(axis=1) - problem.alpha).max()
-        col = np.abs(q.sum(axis=0) - problem.beta).max()
-        return float(max(row, col))
 
     u = np.ones_like(problem.alpha)
     v = np.ones_like(problem.beta)
@@ -232,7 +264,7 @@ def sinkhorn_direct(problem, max_iters=5000, tol=1e-6):
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise KernelOverflowError("scaling vectors diverged; rescale scores or raise reg")
         q = u[:, None] * k * v[None, :]
-        if residual(q) <= tol:
-            return TransportPlan(q, iters, residual(q), True)
+        if _residual(q, problem) <= tol:
+            return TransportPlan(q, iters, _residual(q, problem), True)
     q = u[:, None] * k * v[None, :]
-    return TransportPlan(q, iters, residual(q), False)
+    return TransportPlan(q, iters, _residual(q, problem), False)

@@ -12,6 +12,7 @@ import wsseg.net as net_mod
 import wsseg.trainer as trainer_mod
 from wsseg.cli import (
     EXIT_CONFIG,
+    EXIT_DATA,
     EXIT_MISSING,
     EXIT_USAGE,
     load_split,
@@ -156,6 +157,54 @@ def test_eval_runs_the_network_once_per_sequence(pipeline, tmp_path, monkeypatch
     ) == 0
     assert len(calls) == len(os.listdir(data / "test")) == 2
     assert _report(out / "eval_report.csv") == _report(evald / "eval_report.csv")
+
+
+def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, capsys):
+    _, _, data, run, _ = pipeline
+    state = trainer_mod.load_checkpoint(run / "checkpoint.npz")
+    state.bank.initialized[:] = [True, True, False]
+    trainer_mod.save_checkpoint(state, tmp_path / "checkpoint.npz")
+    capsys.readouterr()
+    assert main(
+        ["pseudo", "--checkpoint", str(tmp_path / "checkpoint.npz"),
+         "--data", str(data / "train"), "--out", str(tmp_path / "pseudo")]
+    ) == 0
+    skipped = [line for line in capsys.readouterr().out.splitlines() if "skipped" in line]
+    assert skipped
+    assert all(line.endswith("for classes [2])") for line in skipped)
+
+
+def _synth(tmp_path, name, **spec):
+    config = tmp_path / f"{name}.json"
+    synth = dict(CONFIG["synth"], length=120, n_train=1, n_val=1, n_test=1, **spec)
+    config.write_text(json.dumps({"synth": synth}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("command, split", [("eval", "test"), ("pseudo", "train"),
+                                            ("cams", "test")])
+@pytest.mark.parametrize("spec", [{"num_channels": 3}, {"num_classes": 4}])
+def test_dataset_shape_must_match_the_checkpoint(pipeline, tmp_path, capsys, command, split,
+                                                 spec):
+    _, _, _, run, _ = pipeline
+    data = _synth(tmp_path, "other", **spec)
+    code = main([command, "--checkpoint", str(run / "checkpoint.npz"),
+                 "--data", str(data / split), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert next(iter(spec)) in capsys.readouterr().err
+
+
+def test_train_channels_must_match_the_data(tmp_path, capsys):
+    data = _synth(tmp_path, "data")
+    config = tmp_path / "config.json"
+    net = dict(CONFIG["train"]["net"], in_dim=3)
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], net=net)}))
+    code = main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert "num_channels" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.npz").exists()
 
 
 def test_report_aggregates_runs(pipeline, tmp_path):

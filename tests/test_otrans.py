@@ -1,18 +1,23 @@
-"""Sinkhorn solver contracts, the order prior, and the order-preserving
-reduction to plain entropic transport."""
+"""Sinkhorn solver contracts, agreement with the log-domain reference, the
+order prior, and the order-preserving reduction to plain entropic
+transport."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+import wsseg.otrans as otrans_mod
 from wsseg.otrans import (
     TransportPlan,
     TransportProblem,
+    log_order_prior,
     order_prior,
     sinkhorn,
     solve_order_preserving,
 )
 
-from loop_reference import KernelOverflowError, sinkhorn_direct
+from loop_reference import KernelOverflowError, sinkhorn_direct, sinkhorn_log
 
 
 def entropic_objective(q, score, reg):
@@ -96,6 +101,80 @@ def test_non_convergence_flag(rng):
     assert not plan.converged
     assert plan.iterations_used == 1
     assert plan.marginal_residual > 1e-14
+    # the reported residual is the returned plan's, not the stopping test's
+    row = np.abs(plan.q.sum(axis=1) - problem.alpha).max()
+    col = np.abs(plan.q.sum(axis=0) - problem.beta).max()
+    assert plan.marginal_residual == max(row, col)
+
+
+def _kernel_builds(monkeypatch):
+    """Count how often the solver forms K: once at the start, then once per
+    absorption."""
+    calls = []
+    build = otrans_mod._kernel
+    monkeypatch.setattr(otrans_mod, "_kernel", lambda *a: calls.append(1) or build(*a))
+    return calls
+
+
+def _oracle_problem(rng, i):
+    """Random problems, some with zero-mass rows and columns: plain
+    entropic, under an order prior, and both of these with column offsets
+    whose kernel spans far more than [1/TAU, TAU], which the solver must
+    absorb."""
+    n = int(rng.integers(2, 41))
+    m = int(rng.integers(2, 7))
+    score = rng.standard_normal((n, m))
+    alpha = rng.dirichlet(np.ones(n))
+    beta = rng.dirichlet(np.ones(m))
+    if i % 3 == 1:
+        alpha[rng.integers(n)] = 0.0
+    if i % 5 == 2:
+        beta[rng.integers(m)] = 0.0
+    alpha /= alpha.sum()
+    beta /= beta.sum()
+    reg = float(rng.uniform(0.1, 1.0))
+    log_prior = None
+    if i % 4 in (1, 3):
+        log_prior = log_order_prior(n, m, float(rng.uniform(0.1, 1.0)))
+    if i % 4 in (2, 3):  # columns exp(300) apart in the kernel
+        score = score + reg * 300.0 * rng.permutation(m)
+    return TransportProblem(score, alpha, beta, reg, log_prior)
+
+
+def test_scaling_iteration_matches_log_domain_reference(rng, monkeypatch):
+    builds = _kernel_builds(monkeypatch)
+    absorbed = 0
+    for i in range(200):
+        problem = _oracle_problem(rng, i)
+        builds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn(problem, max_iters=5000, tol=1e-9)
+        reference = sinkhorn_log(problem, max_iters=5000, tol=1e-9)
+        absorbed += len(builds) > 1
+        assert plan.iterations_used == reference.iterations_used
+        assert plan.converged == reference.converged
+        assert np.abs(plan.q - reference.q).max() <= 1e-12 * reference.q.max()
+        assert plan.q[problem.alpha == 0].max(initial=0.0) == 0.0
+        assert plan.q[:, problem.beta == 0].max(initial=0.0) == 0.0
+    assert absorbed >= 50
+
+
+def test_absorption_keeps_scalings_in_range(monkeypatch):
+    # column 1 is about exp(800) times column 0 in the kernel: the
+    # unstabilized scaling overflows, the stabilized one absorbs and meets
+    # the marginals
+    score = np.array([[0.3, 8.0], [0.1, 8.2], [0.5, 7.9]])
+    problem = TransportProblem(score, np.full(3, 1 / 3), np.array([0.5, 0.5]), 0.01)
+    with pytest.raises(KernelOverflowError):
+        sinkhorn_direct(problem)
+    builds = _kernel_builds(monkeypatch)
+    plan = sinkhorn(problem, tol=1e-12)
+    assert len(builds) >= 2
+    assert plan.converged and plan.marginal_residual <= 1e-12
+    reference = sinkhorn_log(problem, tol=1e-12)
+    assert plan.iterations_used == reference.iterations_used
+    assert np.abs(plan.q - reference.q).max() <= 1e-12 * reference.q.max()
 
 
 def test_direct_domain_overflow_raises():
@@ -112,18 +191,24 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TransportProblem(
             np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1,
-            prior=np.zeros((2, 2)),
+            log_prior=np.full((2, 2), -np.inf),
         )
+    with pytest.raises(ValueError):
+        solve_order_preserving(np.ones((2, 3)), np.ones((2, 3)), rho=0.1,
+                               prior=np.zeros((2, 2)))
 
 
-def test_zero_mass_row_is_respected():
-    score = np.array([[1.0, 0.2], [0.1, 0.6], [0.3, 0.4]])
+def test_zero_mass_rows_and_columns_are_respected():
+    score = np.array([[1.0, 0.2, 0.5], [0.1, 0.6, 0.3], [0.3, 0.4, 0.9]])
     alpha = np.array([0.5, 0.0, 0.5])
-    beta = np.array([0.5, 0.5])
-    plan = sinkhorn(TransportProblem(score, alpha, beta, 0.4), tol=1e-10)
+    beta = np.array([0.5, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = sinkhorn(TransportProblem(score, alpha, beta, 0.4), tol=1e-10)
     assert plan.converged
-    np.testing.assert_allclose(plan.q[1], 0.0, atol=1e-12)
+    assert np.all(plan.q[1] == 0.0) and np.all(plan.q[:, 2] == 0.0)
     np.testing.assert_allclose(plan.q.sum(axis=1), alpha, atol=1e-9)
+    np.testing.assert_allclose(plan.q.sum(axis=0), beta, atol=1e-9)
 
 
 def test_order_prior_values():
@@ -134,6 +219,22 @@ def test_order_prior_values():
     d = 0.5 / np.sqrt(0.5)
     np.testing.assert_allclose(d, 0.7071067811865476, rtol=1e-12)
     np.testing.assert_allclose(t[0, 1], peak * np.exp(-d * d / 2.0), rtol=1e-12)
+
+
+def test_narrow_prior_is_built_in_log_space(rng):
+    # exp(-d^2 / 2 sigma^2) underflows at T=2000, m=5 for sigma <= 0.12
+    assert order_prior(2000, 5, 0.1).min() == 0.0
+    log_t = log_order_prior(2000, 5, 0.1)
+    assert np.all(np.isfinite(log_t))
+    v = rng.standard_normal((2000, 8))
+    p = rng.standard_normal((5, 8))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    plan = solve_order_preserving(v, p, rho=0.1, sigma=0.1, max_iters=5000, tol=1e-6)
+    assert plan.converged
+    assert plan.marginal_residual <= 1e-6
+    np.testing.assert_allclose(plan.q.sum(axis=1), 1 / 2000, atol=1e-6)
+    np.testing.assert_allclose(plan.q.sum(axis=0), 1 / 5, atol=1e-6)
 
 
 def test_order_prior_symmetry():

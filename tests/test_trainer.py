@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -382,6 +383,18 @@ def test_pseudo_phase_keeps_timestamp_term_without_pseudo_labels(monkeypatch):
     assert len(pseudo_epochs) == 2
     assert all(r["loss_seg"] > 0.0 and r["loss_segall"] == 0.0 for r in pseudo_epochs)
     assert all(r["loss_cls"] > 0.0 and r["loss_con"] > 0.0 for r in pseudo_epochs)
+
+
+def test_pseudo_phase_runs_under_a_narrow_order_prior():
+    # five classes at sigma 0.1: the prior's far corners are below exp(-745)
+    data = _corpus(3, seed=8, c=5, t_len=300)
+    net = dataclasses.replace(_config().net, num_classes=5)
+    config = _config(net=net, ot_sigma=0.1, ot_max_iters=5000, epochs_max=2, epochs_init=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every plan converges
+        _, logs = train(data, data[:1], config)
+    assert [r["phase"] for r in logs] == ["timestamp", "pseudo"]
+    assert logs[-1]["loss_segall"] > 0.0
 
 
 def test_sinkhorn_nonconvergence_warns_once_per_regeneration():
