@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -277,7 +278,7 @@ def _load_state(path):
     _require(path, "checkpoint")
     try:
         return load_checkpoint(path)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, zipfile.BadZipFile, OSError) as exc:
         raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
 
 

@@ -8,6 +8,19 @@ multi-label sequence classifier on global-average-pooled features (a
 single linear map, so its weight doubles as the CAM projection), and a
 two-layer MLP projector producing per-sample embeddings.
 
+Three passes share one stage loop, and each keeps only what its caller
+reads:
+
+- ``forward_cached`` returns every head plus a ``ForwardCache`` holding
+  each layer's feature map and ReLU output, for ``backward`` (training);
+- ``forward`` returns every head and keeps no cache: each layer's maps
+  are dropped once the next layer has read them (pseudo-labels, CAMs);
+- ``probabilities`` returns the per-stage class probabilities only, and
+  runs no projector, pooling or multi-label head (scoring).
+
+All three compute the same floating-point operations in the same order,
+so their shared outputs are bitwise equal.
+
 Parameters live in a flat ``{name: ndarray}`` dict; ``backward`` returns a
 dict with the same keys. Gradients flow through every path, including the
 softmax hand-off between stages.
@@ -58,11 +71,10 @@ class ForwardCache:
     x: np.ndarray
     stage_inputs: list  # input map fed to each stage
     g_lists: list  # per stage: [G_0 .. G_L] feature maps
-    apre_lists: list  # per stage: pre-ReLU dilated-conv outputs
+    relu_lists: list  # per stage: each layer's ReLU output, ReLU(W_d (*) G + b_d)
     y_prob: list
     gap: np.ndarray
-    proj_pre: np.ndarray  # pre-ReLU hidden activations of the projector
-    proj_hidden: np.ndarray
+    proj_hidden: np.ndarray  # ReLU output of the projector's hidden layer
     param_ids: dict
 
 
@@ -106,19 +118,28 @@ def init_params(config, seed):
     return p
 
 
-def _residual_layer_cached(h, wd, bd, wr, br, dilation):
+def _residual_layer(h, wd, bd, wr, br, dilation):
     """H + W_r * ReLU(W_d (*) H + b_d) + b_r, length-preserving; also
-    returns the pre-ReLU conv output for the backward pass."""
-    apre = dilated_conv_forward(h, wd, bd, dilation)
-    a = np.maximum(apre, 0.0)
-    out = h + wr @ a + br[:, None]
-    return out, apre
+    returns the ReLU output for the backward pass."""
+    a = np.maximum(dilated_conv_forward(h, wd, bd, dilation), 0.0)
+    out = wr @ a
+    out += h
+    out += br[:, None]
+    return out, a
+
+
+def _linear(w, b, x):
+    """w @ x + b per column, the bias added in place."""
+    out = w @ x
+    out += b[:, None]
+    return out
 
 
 def softmax_columns(logits):
-    z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    e = logits - logits.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def softmax_columns_backward(d_prob, prob):
@@ -145,27 +166,29 @@ def l2_normalize_backward(d_vn, vn, norms):
     return (d_vn - vn * inner) / norms[None, :]
 
 
-def forward(x, params, config):
-    outputs, _ = forward_cached(x, params, config)
-    return outputs
-
-
-def forward_cached(x, params, config):
-    """Run the network and keep every intermediate needed by backward."""
+def _input(x, config):
     data = x.data if isinstance(x, SensorSequence) else np.asarray(x, dtype=np.float64)
     if data.shape[0] != config.in_dim:
         raise ValueError(f"input has {data.shape[0]} channels, config expects {config.in_dim}")
+    return data
 
-    stage_inputs, g_lists, apre_lists, y_prob = [], [], [], []
+
+def _stages(data, params, config, kept):
+    """The stage loop of every pass; returns (final feature map, per-stage
+    probabilities).
+
+    When ``kept`` is a list, one (stage input, [G_0 .. G_L], [A_1 .. A_L])
+    tuple per stage is appended to it; when it is None, each layer's maps
+    are dropped as the loop moves on.
+    """
+    y_prob = []
     inp = data
-    z = None
     for s in range(config.stages):
-        stage_inputs.append(inp)
-        g = params[f"s{s}.in.w"] @ inp + params[f"s{s}.in.b"][:, None]
-        g_list = [g]
-        apre_list = []
+        g = _linear(params[f"s{s}.in.w"], params[f"s{s}.in.b"], inp)
+        if kept is not None:
+            kept.append((inp, [g], []))
         for l in range(config.layers_per_stage):
-            g, apre = _residual_layer_cached(
+            g, a = _residual_layer(
                 g,
                 params[f"s{s}.l{l}.wd"],
                 params[f"s{s}.l{l}.bd"],
@@ -173,31 +196,53 @@ def forward_cached(x, params, config):
                 params[f"s{s}.l{l}.br"],
                 config.dilation(l),
             )
-            g_list.append(g)
-            apre_list.append(apre)
-        logits = params[f"s{s}.out.w"] @ g + params[f"s{s}.out.b"][:, None]
-        prob = softmax_columns(logits)
-        y_prob.append(prob)
-        g_lists.append(g_list)
-        apre_lists.append(apre_list)
-        z = g
-        inp = prob
+            if kept is not None:
+                kept[-1][1].append(g)
+                kept[-1][2].append(a)
+        inp = softmax_columns(_linear(params[f"s{s}.out.w"], params[f"s{s}.out.b"], g))
+        y_prob.append(inp)
+    return g, y_prob
 
+
+def _heads(z, params):
+    """(pooled features, multi-label logits, projector hidden ReLU output,
+    projected embeddings) of the final feature map."""
     gap = global_average_pool(z)
     y_s_logits = params["ml.w"] @ gap + params["ml.b"]
-    proj_pre = params["proj.w1"] @ z + params["proj.b1"][:, None]
-    proj_hidden = np.maximum(proj_pre, 0.0)
-    v = params["proj.w2"] @ proj_hidden + params["proj.b2"][:, None]
+    hidden = _linear(params["proj.w1"], params["proj.b1"], z)
+    np.maximum(hidden, 0.0, out=hidden)
+    v = _linear(params["proj.w2"], params["proj.b2"], hidden)
+    return gap, y_s_logits, hidden, v
 
+
+def probabilities(x, params, config):
+    """Per-stage (C, T) class probabilities, the last entry canonical; no
+    other head runs and nothing is kept."""
+    return _stages(_input(x, config), params, config, None)[1]
+
+
+def forward(x, params, config):
+    """Every head, with no cache kept."""
+    z, y_prob = _stages(_input(x, config), params, config, None)
+    _, y_s_logits, _, v = _heads(z, params)
+    return NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
+
+
+def forward_cached(x, params, config):
+    """Every head, plus every intermediate backward needs."""
+    data = _input(x, config)
+    kept = []
+    z, y_prob = _stages(data, params, config, kept)
+    gap, y_s_logits, proj_hidden, v = _heads(z, params)
     outputs = NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
+    stage_inputs, g_lists, relu_lists = map(list, zip(*kept))
     cache = ForwardCache(
         x=data,
         stage_inputs=stage_inputs,
         g_lists=g_lists,
-        apre_lists=apre_lists,
+        relu_lists=relu_lists,
         y_prob=y_prob,
         gap=gap,
-        proj_pre=proj_pre,
         proj_hidden=proj_hidden,
         param_ids={k: id(v_) for k, v_ in params.items()},
     )
@@ -225,7 +270,7 @@ def backward(grads, cache, params, config):
         d_hidden = params["proj.w2"].T @ grads.dv
         g["proj.w2"] += grads.dv @ cache.proj_hidden.T
         g["proj.b2"] += grads.dv.sum(axis=1)
-        d_pre = d_hidden * (cache.proj_pre > 0.0)
+        d_pre = d_hidden * (cache.proj_hidden > 0.0)
         g["proj.w1"] += d_pre @ z.T
         g["proj.b1"] += d_pre.sum(axis=1)
         d_z += params["proj.w1"].T @ d_pre
@@ -256,12 +301,11 @@ def backward(grads, cache, params, config):
             d_g = d_g + params[f"s{s}.out.w"].T @ d_logits
 
         for l in reversed(range(config.layers_per_stage)):
-            apre = cache.apre_lists[s][l]
-            a = np.maximum(apre, 0.0)
+            a = cache.relu_lists[s][l]
             wr = params[f"s{s}.l{l}.wr"]
             g[f"s{s}.l{l}.wr"] += d_g @ a.T
             g[f"s{s}.l{l}.br"] += d_g.sum(axis=1)
-            d_apre = (wr.T @ d_g) * (apre > 0.0)
+            d_apre = (wr.T @ d_g) * (a > 0.0)
             d_in, d_wd, d_bd = dilated_conv_backward(
                 cache.g_lists[s][l], params[f"s{s}.l{l}.wd"], config.dilation(l), d_apre
             )

@@ -14,6 +14,7 @@ A run's settings have one home, ``TrainState.config``: ``train`` sets
 it, the helpers read it, and a checkpoint records it.
 """
 
+import contextlib
 import json
 import os
 import warnings
@@ -492,8 +493,8 @@ def predict(state, data_set):
     """Argmax of the final stage per sample, one array per sequence."""
     preds = []
     for item in data_set:
-        outputs = net_mod.forward(item.sequence.data, state.params, state.config.net)
-        preds.append(np.argmax(outputs.y_prob[-1], axis=0))
+        prob = net_mod.probabilities(item.sequence.data, state.params, state.config.net)[-1]
+        preds.append(np.argmax(prob, axis=0))
     return preds
 
 
@@ -542,7 +543,8 @@ CHECKPOINT_FIELDS = (
 
 def save_checkpoint(state, path):
     """Single-file npz dump of every field of ``state`` (schema documented
-    in the README)."""
+    in the README). The file is written beside ``path`` and then renamed
+    over it, so an interrupted save leaves any previous checkpoint whole."""
     arrays, meta = {}, {"version": CHECKPOINT_VERSION}
     for key, name, encode, _ in CHECKPOINT_FIELDS:
         value = encode(getattr(state, name))
@@ -551,7 +553,15 @@ def save_checkpoint(state, path):
         else:
             meta[key] = value
     arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:  # through a handle, savez adds no ".npz"
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

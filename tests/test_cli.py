@@ -148,8 +148,11 @@ def test_pseudo_uses_the_timestamps_training_drew(pipeline, tmp_path, monkeypatc
 def test_eval_runs_the_network_once_per_sequence(pipeline, tmp_path, monkeypatch):
     _, _, data, run, evald = pipeline
     calls = []
-    forward = net_mod.forward
-    monkeypatch.setattr(net_mod, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    probabilities = net_mod.probabilities
+    monkeypatch.setattr(net_mod, "probabilities",
+                        lambda *a, **k: calls.append(1) or probabilities(*a, **k))
+    for name in ("forward", "forward_cached"):
+        monkeypatch.setattr(net_mod, name, lambda *a, name=name, **k: pytest.fail(name))
     out = tmp_path / "eval"
     assert main(
         ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data / "test"),
@@ -157,6 +160,27 @@ def test_eval_runs_the_network_once_per_sequence(pipeline, tmp_path, monkeypatch
     ) == 0
     assert len(calls) == len(os.listdir(data / "test")) == 2
     assert _report(out / "eval_report.csv") == _report(evald / "eval_report.csv")
+
+
+def test_truncated_checkpoint_is_a_data_error(pipeline, tmp_path, capsys):
+    _, _, data, run, _ = pipeline
+    whole = (run / "checkpoint.npz").read_bytes()
+    cut = tmp_path / "checkpoint.npz"
+    cut.write_bytes(whole[: len(whole) // 2])
+    code = main(["eval", "--checkpoint", str(cut), "--data", str(data / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    assert f"cannot read checkpoint {cut}" in capsys.readouterr().err
+
+
+def test_checkpoint_that_is_a_directory_is_a_data_error(pipeline, tmp_path, capsys):
+    _, _, data, _, _ = pipeline
+    folder = tmp_path / "checkpoint.npz"
+    folder.mkdir()
+    code = main(["eval", "--checkpoint", str(folder), "--data", str(data / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    assert f"cannot read checkpoint {folder}" in capsys.readouterr().err
 
 
 def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, capsys):

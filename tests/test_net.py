@@ -17,7 +17,7 @@ def test_residual_layer_identity_with_zero_weights(rng):
     h = rng.standard_normal((4, 10))
     zeros_w = np.zeros((4, 4, 3))
     zeros_b = np.zeros(4)
-    out = net._residual_layer_cached(h, zeros_w, zeros_b, np.zeros((4, 4)), zeros_b, 2)[0]
+    out = net._residual_layer(h, zeros_w, zeros_b, np.zeros((4, 4)), zeros_b, 2)[0]
     np.testing.assert_array_equal(out, h)
 
 
@@ -27,7 +27,7 @@ def test_residual_layer_t1(rng):
     bd = rng.standard_normal(4)
     wr = rng.standard_normal((4, 4))
     br = rng.standard_normal(4)
-    out = net._residual_layer_cached(h, wd, bd, wr, br, 4)[0]
+    out = net._residual_layer(h, wd, bd, wr, br, 4)[0]
     assert out.shape == (4, 1)
     want = h + wr @ np.maximum(naive_dilated_conv(h, wd, bd, 4), 0.0) + br[:, None]
     np.testing.assert_allclose(out, want, atol=1e-10)
@@ -39,9 +39,10 @@ def test_residual_layer_matches_naive_conv_oracle(rng):
     bd = rng.standard_normal(5) * 0.3
     wr = rng.standard_normal((5, 5)) * 0.3
     br = rng.standard_normal(5) * 0.3
-    out = net._residual_layer_cached(h, wd, bd, wr, br, 2)[0]
-    want = h + wr @ np.maximum(naive_dilated_conv(h, wd, bd, 2), 0.0) + br[:, None]
-    np.testing.assert_allclose(out, want, atol=1e-10)
+    out, relu = net._residual_layer(h, wd, bd, wr, br, 2)
+    want_relu = np.maximum(naive_dilated_conv(h, wd, bd, 2), 0.0)
+    np.testing.assert_allclose(relu, want_relu, atol=1e-10)
+    np.testing.assert_allclose(out, h + wr @ want_relu + br[:, None], atol=1e-10)
 
 
 def test_forward_shapes():
@@ -91,6 +92,28 @@ def test_forward_rejects_wrong_channel_count(rng):
     params = net.init_params(SMALL, 0)
     with pytest.raises(ValueError):
         net.forward(rng.standard_normal((5, 8)), params, SMALL)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("t_len", [1, 5, 300])
+def test_the_three_passes_agree_bitwise(stages, t_len):
+    config = net.TcnConfig(
+        in_dim=2, num_classes=3, stages=stages, layers_per_stage=4, feature_dim=6, projector_dim=3
+    )
+    params = net.init_params(config, stages)
+    x = np.random.default_rng(t_len).standard_normal((2, t_len))
+    probs = net.probabilities(x, params, config)
+    plain = net.forward(x, params, config)
+    cached, cache = net.forward_cached(x, params, config)
+    assert len(probs) == stages
+    for p, q, r in zip(probs, plain.y_prob, cached.y_prob):
+        assert np.array_equal(p, q) and np.array_equal(p, r)
+    assert np.array_equal(plain.z, cached.z)
+    assert np.array_equal(plain.v, cached.v)
+    assert np.array_equal(plain.y_s_logits, cached.y_s_logits)
+    relus = [a for stage in cache.relu_lists for a in stage] + [cache.proj_hidden]
+    assert len(relus) == stages * config.layers_per_stage + 1
+    assert all(np.all(a >= 0.0) for a in relus)
 
 
 def test_global_average_pool():

@@ -146,6 +146,27 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
         load_checkpoint(path)
 
 
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.npz"
+    first = new_state(_config(seed=1))
+    save_checkpoint(first, path)
+    saved = path.read_bytes()
+
+    def savez_then_fail(file, **arrays):
+        file.write(saved[: len(saved) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(new_state(_config(seed=2)), path)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+    loaded = load_checkpoint(path)
+    assert loaded.config == first.config
+    for key in first.params:
+        np.testing.assert_array_equal(loaded.params[key], first.params[key])
+
+
 def test_checkpoint_table_covers_every_state_field():
     names = [name for _, name, _, _ in CHECKPOINT_FIELDS]
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(TrainState))
