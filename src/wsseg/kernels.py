@@ -1,43 +1,65 @@
 """Dilated 1-D convolution kernels, the hot loops of the network.
 
-Both kernels are numpy: one BLAS matmul per kernel tap over a zero-padded
-copy of the input.
+Both kernels are numpy: each tap is one BLAS matmul over a shifted window
+of a zero-padded copy. The forward and the weight gradient read the padded
+input, the input gradient reads the padded output gradient. Each sum
+accumulates in tap order into a dense ``(channels, T)`` array, the
+products after the first through one reused buffer.
 
 Array layout is channels-first: activations are ``(channels, T)``, weights
 ``(out_channels, in_channels, kernel_width)``. Temporal length is preserved
-with symmetric zero padding of ``dilation * (kernel_width - 1) // 2``.
+with symmetric zero padding of ``dilation * (kernel_width - 1) // 2``, so
+the kernel width must be odd.
 """
 
 import numpy as np
 
 
+def _padded(a, pad):
+    """``a`` with ``pad`` zero columns on each side."""
+    out = np.zeros((a.shape[0], a.shape[1] + 2 * pad))
+    out[:, pad : pad + a.shape[1]] = a
+    return out
+
+
 def dilated_conv_forward(x, w, b, dilation):
     """out[o, t] = b[o] + sum_{i,k} w[o, i, k] * x_padded[i, t + k*dilation]."""
-    cout, cin, kw = w.shape
+    kw = w.shape[2]
     t_len = x.shape[1]
-    pad = dilation * (kw - 1) // 2
-    xp = np.zeros((cin, t_len + 2 * pad))
-    xp[:, pad : pad + t_len] = x
-    out = np.repeat(b[:, None], t_len, axis=1)
-    for k in range(kw):
-        out += w[:, :, k] @ xp[:, k * dilation : k * dilation + t_len]
+    xp = _padded(x, dilation * (kw - 1) // 2)
+    out = w[:, :, 0] @ xp[:, :t_len]
+    out += b[:, None]
+    tap = np.empty_like(out)
+    for k in range(1, kw):
+        np.matmul(w[:, :, k], xp[:, k * dilation : k * dilation + t_len], out=tap)
+        out += tap
     return out
 
 
 def dilated_conv_backward(x, w, dilation, d_out):
-    """Gradients of the forward pass wrt input, weights and bias."""
+    """Gradients of the forward pass wrt input, weights and bias.
+
+    Tap k moves output column t to input column t + k*dilation - pad, so
+    d_x sums, in tap order, ``w[:, :, k].T`` times the window of the padded
+    d_out that starts at (kw - 1 - k) * dilation.
+    """
     cout, cin, kw = w.shape
     t_len = x.shape[1]
     pad = dilation * (kw - 1) // 2
-    xp = np.zeros((cin, t_len + 2 * pad))
-    xp[:, pad : pad + t_len] = x
-    d_xp = np.zeros_like(xp)
+    buf = _padded(d_out, pad)
+    d_x = w[:, :, 0].T @ buf[:, (kw - 1) * dilation : (kw - 1) * dilation + t_len]
+    tap = np.empty_like(d_x)
+    for k in range(1, kw):
+        start = (kw - 1 - k) * dilation
+        np.matmul(w[:, :, k].T, buf[:, start : start + t_len], out=tap)
+        d_x += tap
+    if cin == cout:
+        buf[:, pad : pad + t_len] = x  # the padding is still zero
+    else:
+        buf = _padded(x, pad)
     d_w = np.empty_like(w)
     for k in range(kw):
-        sl = slice(k * dilation, k * dilation + t_len)
-        d_xp[:, sl] += w[:, :, k].T @ d_out
-        d_w[:, :, k] = d_out @ xp[:, sl].T
-    d_x = d_xp[:, pad : pad + t_len]
+        d_w[:, :, k] = d_out @ buf[:, k * dilation : k * dilation + t_len].T
     d_b = d_out.sum(axis=1)
     return d_x, d_w, d_b
 

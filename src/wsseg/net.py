@@ -53,6 +53,9 @@ class TcnConfig:
             raise ValueError("network dimensions must be >= 1")
         if min(self.feature_dim, self.kernel_width, self.projector_dim) < 1:
             raise ValueError("network dimensions must be >= 1")
+        if self.kernel_width % 2 == 0:
+            # symmetric padding of dilation * (kernel_width - 1) // 2 keeps T only when odd
+            raise ValueError(f"kernel_width must be odd, got {self.kernel_width}")
 
     def dilation(self, layer: int) -> int:
         return 2 ** layer
@@ -249,16 +252,19 @@ def forward_cached(x, params, config):
     return outputs, cache
 
 
-def backward(grads, cache, params, config):
-    """Accumulate parameter gradients for the given output gradients.
+def backward(grads, cache, params, config, acc=None):
+    """Parameter gradients for the given output gradients.
 
-    Heads that receive no upstream gradient contribute exact zeros.
+    Without ``acc`` they are returned as a fresh dict with the keys of
+    ``params``; with ``acc`` (such a dict) they are added into it in place
+    and ``acc`` is returned. Heads that receive no upstream gradient
+    contribute exact zeros.
     """
     for k, v_ in params.items():
         if cache.param_ids.get(k) != id(v_):
             raise StaleCacheError(f"cache does not match current params (key {k!r})")
 
-    g = {k: np.zeros_like(v_) for k, v_ in params.items()}
+    g = {k: np.zeros_like(v_) for k, v_ in params.items()} if acc is None else acc
     t_len = cache.x.shape[1]
     z = cache.g_lists[-1][-1]
 
@@ -305,13 +311,14 @@ def backward(grads, cache, params, config):
             wr = params[f"s{s}.l{l}.wr"]
             g[f"s{s}.l{l}.wr"] += d_g @ a.T
             g[f"s{s}.l{l}.br"] += d_g.sum(axis=1)
-            d_apre = (wr.T @ d_g) * (a > 0.0)
+            d_apre = wr.T @ d_g
+            d_apre *= a > 0.0
             d_in, d_wd, d_bd = dilated_conv_backward(
                 cache.g_lists[s][l], params[f"s{s}.l{l}.wd"], config.dilation(l), d_apre
             )
             g[f"s{s}.l{l}.wd"] += d_wd
             g[f"s{s}.l{l}.bd"] += d_bd
-            d_g = d_g + d_in
+            d_g += d_in
 
         g[f"s{s}.in.w"] += d_g @ cache.stage_inputs[s].T
         g[f"s{s}.in.b"] += d_g.sum(axis=1)

@@ -441,14 +441,13 @@ def _train_batch(batch, train_set, state, pseudo_labels, diag_dir):
                 f" crop [{crop.start}, {crop.stop}); {where}"
             )
 
-        grads = net_mod.backward(
+        net_mod.backward(
             net_mod.OutputGrads(dz=None, dy_prob=dy, dy_s_logits=dy_s_logits, dv=dv),
             cache,
             params,
             config.net,
+            grad_sum,
         )
-        for k in grad_sum:
-            grad_sum[k] += grads[k]
         for k, v in parts.items():
             parts_sum[k] = parts_sum.get(k, 0.0) + v
 

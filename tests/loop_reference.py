@@ -13,6 +13,12 @@ solver: ``sinkhorn_log`` iterates log-domain potentials and forms the plan
 every iteration, so it must stop at the same iteration with the same plan
 up to rounding; ``sinkhorn_direct`` iterates the scaling vectors of
 ``exp(S / reg)`` with no stabilization at all.
+
+The padded conv kernels are the network's previous dilated convolution:
+the forward starts from the repeated bias, and the backward adds each
+tap's input gradient into a strided slice of a zero-padded buffer. The
+package's dense kernels must give the same forward bit for bit, and the
+same backward up to the last bits of a GEMM.
 """
 
 import math
@@ -268,3 +274,32 @@ def sinkhorn_direct(problem, max_iters=5000, tol=1e-6):
             return TransportPlan(q, iters, _residual(q, problem), True)
     q = u[:, None] * k * v[None, :]
     return TransportPlan(q, iters, _residual(q, problem), False)
+
+
+def conv_forward_padded(x, w, b, dilation):
+    cout, cin, kw = w.shape
+    t_len = x.shape[1]
+    pad = dilation * (kw - 1) // 2
+    xp = np.zeros((cin, t_len + 2 * pad))
+    xp[:, pad : pad + t_len] = x
+    out = np.repeat(b[:, None], t_len, axis=1)
+    for k in range(kw):
+        out += w[:, :, k] @ xp[:, k * dilation : k * dilation + t_len]
+    return out
+
+
+def conv_backward_padded(x, w, dilation, d_out):
+    cout, cin, kw = w.shape
+    t_len = x.shape[1]
+    pad = dilation * (kw - 1) // 2
+    xp = np.zeros((cin, t_len + 2 * pad))
+    xp[:, pad : pad + t_len] = x
+    d_xp = np.zeros_like(xp)
+    d_w = np.empty_like(w)
+    for k in range(kw):
+        sl = slice(k * dilation, k * dilation + t_len)
+        d_xp[:, sl] += w[:, :, k].T @ d_out
+        d_w[:, :, k] = d_out @ xp[:, sl].T
+    d_x = d_xp[:, pad : pad + t_len]
+    d_b = d_out.sum(axis=1)
+    return d_x, d_w, d_b

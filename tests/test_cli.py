@@ -288,13 +288,17 @@ def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     assert "pseudo_per_batch" in capsys.readouterr().err
 
 
-def test_bad_train_setting_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("field, train", [
+    ("lr_period", dict(CONFIG["train"], lr_period=0)),
+    ("kernel_width", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], kernel_width=2))),
+], ids=["lr_period", "kernel_width"])
+def test_bad_train_setting_is_a_config_error(tmp_path, capsys, field, train):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train": dict(CONFIG["train"], lr_period=0)}))
+    config.write_text(json.dumps({"train": train}))
     code = main(["train", "--config", str(config), "--data", str(tmp_path),
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_CONFIG
-    assert "lr_period" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 def test_bad_config_json(tmp_path):

@@ -116,6 +116,13 @@ def test_the_three_passes_agree_bitwise(stages, t_len):
     assert all(np.all(a >= 0.0) for a in relus)
 
 
+@pytest.mark.parametrize("kernel_width", [2, 4])
+def test_config_rejects_even_kernel_width(kernel_width):
+    with pytest.raises(ValueError, match="kernel_width"):
+        net.TcnConfig(in_dim=3, num_classes=2, stages=1, layers_per_stage=2, feature_dim=4,
+                      kernel_width=kernel_width)
+
+
 def test_global_average_pool():
     np.testing.assert_array_equal(net.global_average_pool(np.full((3, 5), 2.0)), [2, 2, 2])
     np.testing.assert_array_equal(net.global_average_pool(np.array([[4.0], [1.0]])), [4, 1])
@@ -153,6 +160,38 @@ def test_backward_stale_cache_detected(rng):
     params["ml.w"] = params["ml.w"] + 1.0
     with pytest.raises(net.StaleCacheError):
         net.backward(net.OutputGrads(), cache, params, SMALL)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("t_len", [1, 5, 300])
+def test_backward_accumulates_into_acc(stages, t_len):
+    """backward(..., acc) adds exactly the four-argument result into acc,
+    for every head and for the trainer's heads (no dz, no dv)."""
+    config = net.TcnConfig(
+        in_dim=2, num_classes=3, stages=stages, layers_per_stage=4, feature_dim=6, projector_dim=3
+    )
+    params = net.init_params(config, stages)
+    rng = np.random.default_rng(t_len)
+    x = rng.standard_normal((2, t_len))
+    out, cache = net.forward_cached(x, params, config)
+    every_head = net.OutputGrads(
+        dz=rng.standard_normal(out.z.shape),
+        dy_prob=[rng.standard_normal(p.shape) for p in out.y_prob],
+        dy_s_logits=rng.standard_normal(out.y_s_logits.shape),
+        dv=rng.standard_normal(out.v.shape),
+    )
+    trainer_heads = net.OutputGrads(dy_prob=every_head.dy_prob,
+                                    dy_s_logits=every_head.dy_s_logits)
+    for grads in (every_head, trainer_heads):
+        fresh = net.backward(grads, cache, params, config)
+        again = net.backward(grads, cache, params, config)
+        assert fresh is not again and fresh.keys() == again.keys() == params.keys()
+        assert all(np.array_equal(fresh[k], again[k]) for k in params)
+        acc = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        before = {k: v.copy() for k, v in acc.items()}
+        assert net.backward(grads, cache, params, config, acc) is acc
+        for k in params:
+            assert np.array_equal(acc[k], before[k] + fresh[k]), k
 
 
 def _probe_scalar(x, params, config, probes):
