@@ -8,7 +8,7 @@ prototype contrast, and order-preserving optimal transport pseudo-labels.
 from .losses import LossWeights
 from .metrics import EvalReport, evaluate_many
 from .net import TcnConfig, NetworkOutputs, forward, init_params
-from .otrans import TransportPlan, TransportProblem, order_prior, sinkhorn, solve_order_preserving
+from .otrans import TransportPlan, TransportProblem, sinkhorn, solve_order_preserving
 from .proto import PrototypeBank
 from .seqdata import (
     DenseLabels,

@@ -117,8 +117,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_CONFIG, f"invalid JSON in {path}: {exc}")
+    except (OSError, ValueError) as exc:  # not JSON, not text, a directory
+        raise CliError(EXIT_CONFIG, f"cannot read config {path}: {exc}")
 
 
 def _require(path, what):
@@ -170,21 +170,31 @@ def cmd_synth(args):
 def load_split(data_dir, split=None):
     """Load every sequence CSV of a dataset directory (or one split)."""
     meta_path = _require(os.path.join(data_dir, "meta.json"), "dataset meta")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        num_channels, num_classes = meta["num_channels"], meta["num_classes"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(EXIT_DATA, f"invalid dataset meta {meta_path}: {exc!r}")
     split_dir = os.path.join(data_dir, split) if split else data_dir
     _require(split_dir, "data split")
     items = []
     for name in sorted(os.listdir(split_dir)):
         if not name.endswith(".csv"):
             continue
-        seq = load_sequence(
-            os.path.join(split_dir, name),
-            meta["num_channels"],
-            num_classes=meta["num_classes"],
-            sample_rate_hz=meta.get("sample_rate_hz", 1.0),
-            id=name[: -len(".csv")],
-        )
+        path = os.path.join(split_dir, name)
+        try:
+            seq = load_sequence(
+                path,
+                num_channels,
+                num_classes=num_classes,
+                sample_rate_hz=meta.get("sample_rate_hz", 1.0),
+                id=name[: -len(".csv")],
+            )
+        except (ValueError, KeyError) as exc:
+            # the CSV parser's own messages already start with the path
+            detail = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
+            raise CliError(EXIT_DATA, f"invalid sequence {detail}")
         if seq.labels is None:
             raise CliError(EXIT_DATA, f"{name}: dense labels required")
         items.append(LabeledSequence(sequence=seq, labels=seq.labels))
@@ -278,7 +288,7 @@ def _load_state(path):
     _require(path, "checkpoint")
     try:
         return load_checkpoint(path)
-    except (ValueError, KeyError, zipfile.BadZipFile, OSError) as exc:
+    except (ValueError, KeyError, TypeError, zipfile.BadZipFile, OSError) as exc:
         raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
 
 

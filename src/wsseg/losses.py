@@ -10,7 +10,6 @@ positive penalties; the per-sample classifier losses take column-softmax
 probability matrices, the multi-label loss takes raw logits.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +82,14 @@ def l_conf(y_prob, positions, classes):
     log-probability must not increase while moving away from it.
 
     Each timestamp n contributes hinges over (t_{n-1}, t_{n+1}] (clamped
-    at the flanks); the total is divided by T' = 2 (t_N - t_1).
+    at the flanks); the total is divided by T' = 2 (t_N - t_1). Undefined
+    for fewer than two timestamps, which raises ``ValueError``.
     """
     positions = np.asarray(positions, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64)
     n = positions.size
     if n < 2:
-        warnings.warn("confidence loss undefined for fewer than two timestamps; returning 0")
-        return 0.0, np.zeros_like(y_prob)
+        raise ValueError("confidence loss needs at least two timestamps")
     if np.any(np.diff(positions) <= 0):
         raise ValueError("timestamp positions must be strictly increasing")
     t_prime = 2.0 * (positions[-1] - positions[0])

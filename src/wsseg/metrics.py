@@ -1,5 +1,6 @@
 """Recognition and segmentation metrics.
 
+``evaluate_many`` is the one scorer; its ``EvalReport`` holds every metric below.
 Recognition: sample accuracy and class-average F-score. Segmentation:
 class-average Jaccard index over sample sets, mean per-truth-segment IoU,
 and the overfill/underfill (O/U) boundary-error fraction of Ward et al.,
@@ -31,10 +32,10 @@ import numpy as np
 @dataclass
 class EvalReport:
     acc: float
-    f_m: float
-    ji: float
-    iou: float
-    o_u: float
+    f_m: float  # mean F over classes present in truth
+    ji: float  # mean Jaccard over classes present in truth or pred
+    iou: float  # mean over truth segments of IoU with the match
+    o_u: float  # O/U samples as a fraction of all samples
     per_class_f: np.ndarray  # (C,), 0 for classes absent from truth
     per_class_ji: np.ndarray  # (C,), 0 for classes absent from truth and pred
     num_classes: int
@@ -49,7 +50,7 @@ class EvalReport:
         }
 
 
-def _check_pair(pred, truth, num_classes=None):
+def _check_pair(pred, truth, num_classes):
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
         raise ValueError("prediction and truth must be equal-length non-empty 1-D label arrays")
@@ -58,47 +59,9 @@ def _check_pair(pred, truth, num_classes=None):
     pred, truth = pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
     if min(pred.min(), truth.min()) < 0:
         raise ValueError("labels must be non-negative class indices")
-    if num_classes is not None and max(pred.max(), truth.max()) >= num_classes:
+    if max(pred.max(), truth.max()) >= num_classes:
         raise ValueError("label index out of range for the declared class count")
     return pred, truth
-
-
-def _report(pred, truth, num_classes=None):
-    pred, truth = _check_pair(pred, truth, num_classes)
-    if num_classes is None:
-        num_classes = int(max(pred.max(), truth.max())) + 1
-    return evaluate_pair(pred, truth, num_classes)
-
-
-def accuracy(pred, truth):
-    """Fraction of matching samples."""
-    return _report(pred, truth).acc
-
-
-def class_average_f(pred, truth, num_classes=None):
-    """Mean F-score over the classes present in the truth."""
-    return _report(pred, truth, num_classes).f_m
-
-
-def jaccard_index(pred, truth, num_classes=None):
-    """Mean over classes present in truth or pred of |inter| / |union|
-    between the two classes' sample sets."""
-    return _report(pred, truth, num_classes).ji
-
-
-def segment_iou(pred, truth):
-    """Mean over truth segments of IoU with the matched prediction."""
-    return _report(pred, truth).iou
-
-
-def overfill_underfill(pred, truth):
-    """Boundary-error samples of matched segments as a fraction of T."""
-    return _report(pred, truth).o_u
-
-
-def evaluate_pair(pred, truth, num_classes):
-    """Full report for a single sequence."""
-    return evaluate_many([(pred, truth)], num_classes)
 
 
 def evaluate_many(pairs, num_classes):

@@ -128,17 +128,11 @@ def log_order_prior(n, m, sigma):
     return (i - j) ** 2 / -scale - np.log(sigma * np.sqrt(2.0 * np.pi))
 
 
-def order_prior(n, m, sigma):
-    """The prior T itself, ``exp(log_order_prior(n, m, sigma))``."""
-    return np.exp(log_order_prior(n, m, sigma))
-
-
-def solve_order_preserving(
-    embeddings, prototypes, rho, sigma=1.0, max_iters=5000, tol=1e-6, prior=None
-):
+def solve_order_preserving(embeddings, prototypes, rho, sigma=1.0, max_iters=5000, tol=1e-6):
     """Transport plan between sample embeddings and class prototypes under
-    the diagonal prior of width ``sigma``, or under ``prior`` (strictly
-    positive, (N, M)) when given; marginals are uniform on both sides.
+    the diagonal prior ``log_order_prior(N, M, sigma)``; marginals are
+    uniform on both sides. A very wide ``sigma`` flattens the prior, and
+    the plan tends to plain entropic Sinkhorn at ``reg=rho``.
 
     ``embeddings`` is (N, dim) with rows ordered in time, ``prototypes``
     (M, dim) in the desired column order.
@@ -146,19 +140,12 @@ def solve_order_preserving(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes, dtype=np.float64)
     n, m = embeddings.shape[0], prototypes.shape[0]
-    if prior is None:
-        log_prior = log_order_prior(n, m, sigma)
-    else:
-        prior = np.asarray(prior, dtype=np.float64)
-        if np.any(prior <= 0):
-            raise ValueError("prior must be strictly positive")
-        log_prior = np.log(prior)
     problem = TransportProblem(
         score=embeddings @ prototypes.T,
         alpha=np.full(n, 1.0 / n),
         beta=np.full(m, 1.0 / m),
         reg=rho,
-        log_prior=log_prior,
+        log_prior=log_order_prior(n, m, sigma),
     )
     return sinkhorn(problem, max_iters=max_iters, tol=tol)
 

@@ -184,17 +184,16 @@ def mix_supervision(annotations, labels, fraction, seed):
     if fraction == 0.0:  # nothing to promote, so no segments to walk
         return annotations.positions.copy(), annotations.classes.copy()
     rng = np.random.default_rng(seed)
-    chosen = {int(p): int(c) for p, c in zip(annotations.positions, annotations.classes)}
+    supervised = np.full(len(labels), -1, dtype=np.int64)  # class per sample, -1 for none
+    supervised[annotations.positions] = annotations.classes
     for seg in segments_of(labels):
         k = int(np.floor(fraction * seg.length))
         if k == 0:
             continue
         picks = rng.choice(np.arange(seg.start, seg.end + 1), size=k, replace=False)
-        for p in picks:
-            chosen[int(p)] = seg.class_index
-    positions = np.array(sorted(chosen), dtype=np.int64)
-    classes = np.array([chosen[int(p)] for p in positions], dtype=np.int64)
-    return positions, classes
+        supervised[picks] = seg.class_index
+    positions = np.flatnonzero(supervised >= 0).astype(np.int64, copy=False)
+    return positions, supervised[positions]
 
 
 def make_crops(t_len, annotations, crop_len):

@@ -14,6 +14,10 @@ every iteration, so it must stop at the same iteration with the same plan
 up to rounding; ``sinkhorn_direct`` iterates the scaling vectors of
 ``exp(S / reg)`` with no stabilization at all.
 
+``mix_supervision_loop`` collects the promoted samples in a dict keyed by
+position; the array version must draw the same picks and return equal
+arrays.
+
 The padded conv kernels are the network's previous dilated convolution:
 the forward starts from the repeated bias, and the backward adds each
 tap's input gradient into a strided slice of a zero-padded buffer. The
@@ -28,6 +32,7 @@ import numpy as np
 from wsseg.contrast import ContrastBatch
 from wsseg.otrans import TransportPlan
 from wsseg.pseudo import PseudoLabels, count_assignments
+from wsseg.seqdata import segments_of
 
 CLAMP = 1e-12
 
@@ -152,6 +157,23 @@ def l_conf_loop(y_prob, positions, classes):
                 grad[c, t] += sign / clamped[c, t]
                 grad[c, t - 1] -= sign / clamped[c, t - 1]
     return float(loss / t_prime), grad / t_prime
+
+
+def mix_supervision_loop(annotations, labels, fraction, seed):
+    if fraction == 0.0:
+        return annotations.positions.copy(), annotations.classes.copy()
+    rng = np.random.default_rng(seed)
+    chosen = {int(p): int(c) for p, c in zip(annotations.positions, annotations.classes)}
+    for seg in segments_of(labels):
+        k = int(np.floor(fraction * seg.length))
+        if k == 0:
+            continue
+        picks = rng.choice(np.arange(seg.start, seg.end + 1), size=k, replace=False)
+        for p in picks:
+            chosen[int(p)] = seg.class_index
+    positions = np.array(sorted(chosen), dtype=np.int64)
+    classes = np.array([chosen[int(p)] for p in positions], dtype=np.int64)
+    return positions, classes
 
 
 def normalize_two_class(q, t, class_a, class_b):

@@ -19,13 +19,7 @@ from wsseg.losses import l_cls, l_conf, l_seg_all, l_seg_timestamps, l_smooth
 from wsseg.otrans import TransportProblem, sinkhorn, solve_order_preserving
 from wsseg.proto import PrototypeBank, update_bank
 from wsseg.pseudo import generate
-from wsseg.metrics import (
-    accuracy,
-    class_average_f,
-    jaccard_index,
-    overfill_underfill,
-    segment_iou,
-)
+from wsseg.metrics import evaluate_many
 from wsseg.seqdata import TimestampAnnotations
 from wsseg.trainer import evaluate, train
 
@@ -196,8 +190,8 @@ def test_criterion_3_flat_prior_reduction():
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         p /= np.linalg.norm(p, axis=1, keepdims=True)
         rho = float(rng.uniform(0.2, 0.8))
-        flat = solve_order_preserving(v, p, rho=rho, prior=np.ones((n, m)),
-                                      tol=1e-12, max_iters=50000)
+        # at sigma = 1e12 the log order prior is one constant to float precision
+        flat = solve_order_preserving(v, p, rho=rho, sigma=1e12, tol=1e-12, max_iters=50000)
         plain = sinkhorn(
             TransportProblem(v @ p.T, np.full(n, 1 / n), np.full(m, 1 / m), rho),
             tol=1e-12, max_iters=50000,
@@ -253,11 +247,12 @@ def test_criterion_5_metric_oracles():
         flips = rng.random(t) < rng.uniform(0.05, 0.6)
         pred[flips] = rng.integers(0, c, size=int(flips.sum()))
         p, tr = pred.tolist(), truth.tolist()
-        assert accuracy(pred, truth) == oracle_accuracy(p, tr)
-        assert class_average_f(pred, truth) == oracle_f(p, tr)
-        assert jaccard_index(pred, truth) == oracle_ji(p, tr)
-        assert segment_iou(pred, truth) == oracle_iou(p, tr)
-        assert overfill_underfill(pred, truth) == oracle_ou(p, tr)
+        report = evaluate_many([(pred, truth)], c)
+        assert report.acc == oracle_accuracy(p, tr)
+        assert report.f_m == oracle_f(p, tr)
+        assert report.ji == oracle_ji(p, tr)
+        assert report.iou == oracle_iou(p, tr)
+        assert report.o_u == oracle_ou(p, tr)
     return "1000 pairs, exact"
 
 

@@ -183,6 +183,23 @@ def test_checkpoint_that_is_a_directory_is_a_data_error(pipeline, tmp_path, caps
     assert f"cannot read checkpoint {folder}" in capsys.readouterr().err
 
 
+def test_checkpoint_config_with_an_unknown_key_is_a_data_error(pipeline, tmp_path, capsys):
+    _, _, data, run, _ = pipeline
+    with np.load(run / "checkpoint.npz") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"]["bogus"] = 1
+    arrays["meta"] = np.array(json.dumps(meta))
+    bad = tmp_path / "checkpoint.npz"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **arrays)
+    code = main(["eval", "--checkpoint", str(bad), "--data", str(data / "test"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot read checkpoint {bad}" in err and "bogus" in err
+
+
 def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, capsys):
     _, _, data, run, _ = pipeline
     state = trainer_mod.load_checkpoint(run / "checkpoint.npz")
@@ -217,6 +234,45 @@ def test_dataset_shape_must_match_the_checkpoint(pipeline, tmp_path, capsys, com
                  "--data", str(data / split), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert next(iter(spec)) in capsys.readouterr().err
+
+
+def _drop_num_channels(text):
+    meta = json.loads(text)
+    del meta["num_channels"]
+    return json.dumps(meta)
+
+
+# (file to corrupt, corruption); a sequence CSV is corrupted in every split
+DATA_FAULTS = {
+    "non-numeric-channel": ("seq_000.csv", lambda text: text + "abc,1.0,0\n"),
+    "label-out-of-range": ("seq_000.csv", lambda text: text + "0.5,0.5,7\n"),
+    "meta-not-json": ("meta.json", lambda text: "{not json"),
+    "meta-without-num-channels": ("meta.json", _drop_num_channels),
+}
+
+
+@pytest.mark.parametrize("fault", list(DATA_FAULTS))
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_unreadable_dataset_is_a_data_error(pipeline, tmp_path, capsys, command, fault):
+    _, config, _, run, _ = pipeline
+    data = _synth(tmp_path, "data")
+    name, corrupt = DATA_FAULTS[fault]
+    split = "test" if command == "eval" else "train"
+    if name == "meta.json":
+        targets = [data / name]
+        named = str(data / name)
+    else:
+        targets = [data / s / name for s in ("train", "val", "test")]
+        named = str(data / split / name)
+    for path in targets:
+        path.write_text(corrupt(path.read_text()))
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data / split)]
+    else:
+        argv = ["train", "--config", str(config), "--data", str(data)]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert named in capsys.readouterr().err
 
 
 def test_train_channels_must_match_the_data(tmp_path, capsys):
@@ -308,3 +364,13 @@ def test_bad_config_json(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert main(["synth", "--config", str(empty), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    folder = tmp_path / "config.json"
+    folder.mkdir()
+    for argv in (["synth", "--config", str(folder), "--out", str(tmp_path / "data")],
+                 ["train", "--config", str(folder), "--data", str(tmp_path),
+                  "--out", str(tmp_path / "run")]):
+        assert main(argv) == EXIT_CONFIG
+        assert f"cannot read config {folder}" in capsys.readouterr().err

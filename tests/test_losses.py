@@ -166,12 +166,11 @@ def test_conf_mirror_symmetry():
     assert a > 0.0
 
 
-def test_conf_single_timestamp_warns_and_returns_zero():
+def test_conf_below_two_timestamps_raises():
     y = np.full((2, 6), 0.5)
-    with pytest.warns(UserWarning):
-        loss, grad = l_conf(y, [3], [0])
-    assert loss == 0.0
-    assert grad.shape == y.shape and not grad.any()
+    for positions, classes in (([3], [0]), ([], [])):
+        with pytest.raises(ValueError, match="two timestamps"):
+            l_conf(y, positions, classes)
 
 
 def test_conf_rejects_unordered_timestamps():

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from wsseg.metrics import (
-    accuracy,
-    class_average_f,
-    evaluate_many,
-    evaluate_pair,
-    jaccard_index,
-    overfill_underfill,
-    segment_iou,
-)
+from wsseg.metrics import evaluate_many
 
 # ------------------------------------------------------- brute-force oracles
 
@@ -105,38 +97,43 @@ def oracle_ou(pred, truth):
 # ----------------------------------------------------------------- tests
 
 
+def score(pred, truth, num_classes):
+    """The report of one sequence."""
+    return evaluate_many([(pred, truth)], num_classes)
+
+
 def test_accuracy_trivial_cases():
-    assert accuracy([0, 1, 2], [0, 1, 2]) == 1.0
-    assert accuracy([1, 2, 0], [0, 1, 2]) == 0.0
-    assert accuracy([0, 1, 1, 0], [0, 1, 0, 0]) == 0.75
+    assert score([0, 1, 2], [0, 1, 2], 3).acc == 1.0
+    assert score([1, 2, 0], [0, 1, 2], 3).acc == 0.0
+    assert score([0, 1, 1, 0], [0, 1, 0, 0], 2).acc == 0.75
 
 
 def test_f_spec_example():
     truth = [0, 0, 1, 1]
     pred = [0, 1, 1, 1]
-    np.testing.assert_allclose(class_average_f(pred, truth), (2 / 3 + 0.8) / 2, rtol=1e-12)
+    np.testing.assert_allclose(score(pred, truth, 2).f_m, (2 / 3 + 0.8) / 2, rtol=1e-12)
 
 
 def test_f_absent_class_excluded():
     truth = [0, 0, 0, 0]
     pred = [0, 0, 0, 0]
-    assert class_average_f(pred, truth, num_classes=5) == 1.0
+    assert score(pred, truth, 5).f_m == 1.0
 
 
 def test_ji_spec_example():
     truth = [0, 0, 1, 1]
     pred = [0, 1, 1, 1]
-    np.testing.assert_allclose(jaccard_index(pred, truth), (0.5 + 2 / 3) / 2, rtol=1e-12)
+    np.testing.assert_allclose(score(pred, truth, 2).ji, (0.5 + 2 / 3) / 2, rtol=1e-12)
 
 
 def test_ji_disjoint_zero():
-    assert jaccard_index([1, 1, 0, 0], [0, 0, 1, 1]) == 0.0
+    assert score([1, 1, 0, 0], [0, 0, 1, 1], 2).ji == 0.0
 
 
 def test_iou_spec_example():
     truth = [0, 0, 0, 0]
     pred = [0, 0, 1, 1]
-    np.testing.assert_allclose(segment_iou(pred, truth), 0.5, rtol=1e-12)
+    np.testing.assert_allclose(score(pred, truth, 2).iou, 0.5, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -153,12 +150,12 @@ def test_iou_spec_example():
 )
 def test_iou_tie_goes_to_earliest_prediction(pred, truth, want):
     # the filler truth segments 7 and 8 have no match and score 0
-    assert segment_iou(pred, truth) == want / 3
-    assert segment_iou(pred, truth) == oracle_iou(pred, truth)
+    assert score(pred, truth, 9).iou == want / 3
+    assert score(pred, truth, 9).iou == oracle_iou(pred, truth)
 
 
 def test_iou_no_shared_class_zero():
-    assert segment_iou([1, 1, 1], [0, 0, 0]) == 0.0
+    assert score([1, 1, 1], [0, 0, 0], 2).iou == 0.0
 
 
 def test_ou_spec_examples():
@@ -166,44 +163,36 @@ def test_ou_spec_examples():
     # segment's boundary errors count
     truth = [7, 7, 0, 0, 0, 0, 8, 8]
     pred = [5, 0, 0, 0, 0, 0, 0, 6]  # matched A starts 1 earlier, ends 1 later
-    np.testing.assert_allclose(overfill_underfill(pred, truth), 2 / 8, rtol=1e-12)
+    np.testing.assert_allclose(score(pred, truth, 9).o_u, 2 / 8, rtol=1e-12)
     pred2 = [5, 5, 5, 0, 0, 6, 6, 6]  # matched A starts 1 later, ends 1 earlier
-    np.testing.assert_allclose(overfill_underfill(pred2, truth), 2 / 8, rtol=1e-12)
+    np.testing.assert_allclose(score(pred2, truth, 9).o_u, 2 / 8, rtol=1e-12)
 
 
 def test_ou_identity_zero(rng):
     labels = rng.integers(0, 4, size=50)
-    assert overfill_underfill(labels, labels) == 0.0
+    assert score(labels, labels, 4).o_u == 0.0
 
 
 def test_ou_spurious_boundary_never_decreases(rng):
     for _ in range(30):
         truth = np.repeat(rng.integers(0, 3, size=4), rng.integers(3, 8, size=4))
         pred = truth.copy()
-        base = overfill_underfill(pred, truth)
+        base = score(pred, truth, 3).o_u
         i = int(rng.integers(1, len(pred) - 1))
         pred2 = pred.copy()
         pred2[i] = (pred2[i] + 1) % 3
-        assert overfill_underfill(pred2, truth) >= base
+        assert score(pred2, truth, 3).o_u >= base
 
 
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
-        accuracy([0, 1], [0, 1, 2])
+        score([0, 1], [0, 1, 2], 3)
 
 
 every_entry_point = pytest.mark.parametrize(
     "metric",
-    [
-        accuracy,
-        class_average_f,
-        jaccard_index,
-        segment_iou,
-        overfill_underfill,
-        lambda pred, truth: evaluate_many([(pred, truth)], 3),
-    ],
-    ids=["accuracy", "class_average_f", "jaccard_index", "segment_iou", "overfill_underfill",
-         "evaluate_many"],
+    [lambda pred, truth: evaluate_many([(pred, truth)], 3)],
+    ids=["evaluate_many"],
 )
 
 
@@ -233,20 +222,13 @@ def test_all_metrics_match_oracles_random(seed):
         pred = truth.copy()
         flips = rng.random(t) < 0.3
         pred[flips] = rng.integers(0, c, size=int(flips.sum()))
-        assert accuracy(pred, truth) == oracle_accuracy(pred.tolist(), truth.tolist())
-        np.testing.assert_allclose(
-            class_average_f(pred, truth), oracle_f(pred.tolist(), truth.tolist()), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            jaccard_index(pred, truth), oracle_ji(pred.tolist(), truth.tolist()), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            segment_iou(pred, truth), oracle_iou(pred.tolist(), truth.tolist()), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            overfill_underfill(pred, truth), oracle_ou(pred.tolist(), truth.tolist()),
-            rtol=1e-12,
-        )
+        p, tr = pred.tolist(), truth.tolist()
+        report = score(pred, truth, c)
+        assert report.acc == oracle_accuracy(p, tr)
+        np.testing.assert_allclose(report.f_m, oracle_f(p, tr), rtol=1e-12)
+        np.testing.assert_allclose(report.ji, oracle_ji(p, tr), rtol=1e-12)
+        np.testing.assert_allclose(report.iou, oracle_iou(p, tr), rtol=1e-12)
+        np.testing.assert_allclose(report.o_u, oracle_ou(p, tr), rtol=1e-12)
     # long pairs with hundreds of predicted segments, exact
     for _ in range(2):
         t = int(rng.integers(1000, 2001))
@@ -257,16 +239,19 @@ def test_all_metrics_match_oracles_random(seed):
         pred[flips] = rng.integers(0, c, size=int(flips.sum()))
         assert np.count_nonzero(np.diff(pred)) >= 100
         p, tr = pred.tolist(), truth.tolist()
-        assert segment_iou(pred, truth) == oracle_iou(p, tr)
-        assert overfill_underfill(pred, truth) == oracle_ou(p, tr)
+        report = score(pred, truth, c)
+        assert report.iou == oracle_iou(p, tr)
+        assert report.o_u == oracle_ou(p, tr)
 
 
 def test_relabeling_invariance(rng):
     truth = rng.integers(0, 4, size=40)
     pred = rng.integers(0, 4, size=40)
     perm = np.array([2, 3, 1, 0])
-    for fn in (accuracy, class_average_f, jaccard_index, segment_iou, overfill_underfill):
-        np.testing.assert_allclose(fn(pred, truth), fn(perm[pred], perm[truth]), rtol=1e-12)
+    base = score(pred, truth, 4).as_row()
+    relabeled = score(perm[pred], perm[truth], 4).as_row()
+    for field, value in base.items():
+        np.testing.assert_allclose(value, relabeled[field], rtol=1e-12)
 
 
 def test_report_aggregation_sums_counts(rng):
@@ -277,13 +262,12 @@ def test_report_aggregation_sums_counts(rng):
         pred = rng.integers(0, 3, size=t)
         pairs.append((pred, truth))
     report = evaluate_many(pairs, 3)
-    # accuracy must equal the concatenated-stream accuracy
-    cat_pred = np.concatenate([p for p, _ in pairs])
-    cat_truth = np.concatenate([t for _, t in pairs])
-    np.testing.assert_allclose(report.acc, accuracy(cat_pred, cat_truth), rtol=1e-12)
-    np.testing.assert_allclose(report.f_m, class_average_f(cat_pred, cat_truth, 3), rtol=1e-12)
+    # accuracy and F_m must equal the concatenated stream's
+    cat = score(np.concatenate([p for p, _ in pairs]), np.concatenate([t for _, t in pairs]), 3)
+    np.testing.assert_allclose(report.acc, cat.acc, rtol=1e-12)
+    np.testing.assert_allclose(report.f_m, cat.f_m, rtol=1e-12)
     # segment metrics must NOT merge segments across sequence boundaries
-    ious = [segment_iou(p, t) for p, t in pairs]
+    ious = [score(p, t, 3).iou for p, t in pairs]
     counts = [len(oracle_segments(t.tolist())) for _, t in pairs]
     want = sum(i * n for i, n in zip(ious, counts)) / sum(counts)
     np.testing.assert_allclose(report.iou, want, rtol=1e-12)
@@ -294,7 +278,7 @@ def test_report_aggregation_sums_counts(rng):
 def test_report_single_pair_fields(rng):
     truth = rng.integers(0, 3, size=30)
     pred = rng.integers(0, 3, size=30)
-    report = evaluate_pair(pred, truth, 3)
+    report = score(pred, truth, 3)
     for value in report.as_row().values():
         assert 0.0 <= value <= 1.0
 

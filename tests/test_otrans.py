@@ -12,7 +12,6 @@ from wsseg.otrans import (
     TransportPlan,
     TransportProblem,
     log_order_prior,
-    order_prior,
     sinkhorn,
     solve_order_preserving,
 )
@@ -39,9 +38,15 @@ def best_2x2_objective(score, alpha, beta, reg, grid=200001):
     return float(((q * np.reshape(score, (4, 1))).sum(axis=0) + reg * ent).max())
 
 
-def _uniform_problem(score, reg):
+def _uniform_problem(score, reg, log_prior=None):
     n, m = score.shape
-    return TransportProblem(score, np.full(n, 1 / n), np.full(m, 1 / m), reg)
+    return TransportProblem(score, np.full(n, 1 / n), np.full(m, 1 / m), reg, log_prior)
+
+
+def _flat_prior_plan(v, p, rho, **kw):
+    """``solve_order_preserving``'s problem with a flat prior, log T = 0."""
+    score = v @ p.T
+    return sinkhorn(_uniform_problem(score, rho, np.zeros(score.shape)), **kw)
 
 
 def test_constant_score_gives_product_plan():
@@ -193,9 +198,6 @@ def test_problem_validation():
             np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1,
             log_prior=np.full((2, 2), -np.inf),
         )
-    with pytest.raises(ValueError):
-        solve_order_preserving(np.ones((2, 3)), np.ones((2, 3)), rho=0.1,
-                               prior=np.zeros((2, 2)))
 
 
 def test_zero_mass_rows_and_columns_are_respected():
@@ -212,7 +214,7 @@ def test_zero_mass_rows_and_columns_are_respected():
 
 
 def test_order_prior_values():
-    t = order_prior(2, 2, sigma=1.0)
+    t = np.exp(log_order_prior(2, 2, sigma=1.0))
     peak = 1.0 / np.sqrt(2.0 * np.pi)
     np.testing.assert_allclose(t[0, 0], peak, rtol=1e-12)  # i/N == j/M
     np.testing.assert_allclose(t[1, 1], peak, rtol=1e-12)
@@ -223,8 +225,8 @@ def test_order_prior_values():
 
 def test_narrow_prior_is_built_in_log_space(rng):
     # exp(-d^2 / 2 sigma^2) underflows at T=2000, m=5 for sigma <= 0.12
-    assert order_prior(2000, 5, 0.1).min() == 0.0
     log_t = log_order_prior(2000, 5, 0.1)
+    assert np.exp(log_t).min() == 0.0
     assert np.all(np.isfinite(log_t))
     v = rng.standard_normal((2000, 8))
     p = rng.standard_normal((5, 8))
@@ -238,7 +240,7 @@ def test_narrow_prior_is_built_in_log_space(rng):
 
 
 def test_order_prior_symmetry():
-    t = order_prior(5, 5, sigma=0.7)
+    t = np.exp(log_order_prior(5, 5, sigma=0.7))
     np.testing.assert_allclose(t, t.T, atol=1e-15)
 
 
@@ -248,14 +250,10 @@ def test_flat_prior_reduces_to_plain_sinkhorn(rng):
         p = rng.standard_normal((3, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         p /= np.linalg.norm(p, axis=1, keepdims=True)
-        flat = solve_order_preserving(
-            v, p, rho=0.3, prior=np.ones((12, 3)), tol=1e-12, max_iters=20000
-        )
-        plain = sinkhorn(
-            TransportProblem(v @ p.T, np.full(12, 1 / 12), np.full(3, 1 / 3), 0.3),
-            tol=1e-12,
-            max_iters=20000,
-        )
+        # a flat prior of any height leaves the plan unchanged
+        height = np.full((12, 3), float(rng.uniform(-30.0, 30.0)))
+        flat = sinkhorn(_uniform_problem(v @ p.T, 0.3, height), tol=1e-12, max_iters=20000)
+        plain = sinkhorn(_uniform_problem(v @ p.T, 0.3), tol=1e-12, max_iters=20000)
         np.testing.assert_allclose(flat.q, plain.q, atol=1e-8)
 
 
@@ -263,9 +261,7 @@ def test_huge_sigma_matches_flat_prior(rng):
     v = rng.standard_normal((9, 2))
     p = rng.standard_normal((2, 2))
     via_sigma = solve_order_preserving(v, p, rho=0.5, sigma=1e12, tol=1e-12, max_iters=20000)
-    flat = solve_order_preserving(
-        v, p, rho=0.5, prior=np.ones((9, 2)), tol=1e-12, max_iters=20000
-    )
+    flat = _flat_prior_plan(v, p, 0.5, tol=1e-12, max_iters=20000)
     np.testing.assert_allclose(via_sigma.q, flat.q, atol=1e-10)
 
 
@@ -291,9 +287,6 @@ def test_column_permutation_equivariance(rng):
     v = rng.standard_normal((10, 4))
     p = rng.standard_normal((3, 4))
     perm = np.array([2, 0, 1])
-    base = solve_order_preserving(v, p, rho=0.4, prior=np.ones((10, 3)), tol=1e-12,
-                                  max_iters=20000)
-    permuted = solve_order_preserving(
-        v, p[perm], rho=0.4, prior=np.ones((10, 3)), tol=1e-12, max_iters=20000
-    )
+    base = _flat_prior_plan(v, p, 0.4, tol=1e-12, max_iters=20000)
+    permuted = _flat_prior_plan(v, p[perm], 0.4, tol=1e-12, max_iters=20000)
     np.testing.assert_allclose(base.q[:, perm], permuted.q, atol=1e-10)

@@ -14,6 +14,7 @@ from wsseg.net import TcnConfig
 from wsseg.seqdata import (
     DenseLabels,
     SyntheticSpec,
+    TimestampAnnotations,
     generate_synthetic,
     sample_timestamps,
     segments_of,
@@ -36,6 +37,8 @@ from wsseg.trainer import (
     save_checkpoint,
     train,
 )
+
+from loop_reference import mix_supervision_loop
 
 
 def _corpus(n, seed, t_len=240, c=3, d=2, sigma=0.4):
@@ -252,6 +255,32 @@ def test_mix_supervision_extremes():
     pos1, cls1 = mix_supervision(ann, labels, 1.0, seed=4)
     np.testing.assert_array_equal(pos1, np.arange(24))
     np.testing.assert_array_equal(cls1, labels.labels)
+
+
+def test_mix_supervision_matches_loop_reference(rng):
+    overwritten = 0
+    for trial in range(300):
+        t_len = int(rng.integers(1, 120))
+        runs = rng.integers(1, 25, size=t_len)
+        labels = DenseLabels(np.repeat(rng.integers(0, 4, size=t_len), runs)[:t_len], 4)
+        if trial % 2:
+            ann = sample_timestamps(labels, int(rng.integers(1 << 30)))
+        else:
+            # classes need not match the labels, so a pick that lands on a
+            # timestamp shows which of the two wins
+            n = int(rng.integers(1, t_len + 1))
+            positions = np.sort(rng.choice(t_len, size=n, replace=False))
+            ann = TimestampAnnotations(positions, rng.integers(0, 4, size=n))
+        fraction = float(rng.choice([0.0, 0.01, 0.5, 1.0, rng.random()]))
+        seed = int(rng.integers(1 << 30))
+        pos, cls = mix_supervision(ann, labels, fraction, seed)
+        want_pos, want_cls = mix_supervision_loop(ann, labels, fraction, seed)
+        np.testing.assert_array_equal(pos, want_pos)
+        np.testing.assert_array_equal(cls, want_cls)
+        assert pos.dtype == cls.dtype == np.int64
+        overwritten += int(np.count_nonzero(cls[np.searchsorted(pos, ann.positions)]
+                                            != ann.classes))
+    assert overwritten > 0
 
 
 def test_make_crops_cover_and_keep_timestamps():
