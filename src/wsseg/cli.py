@@ -48,40 +48,51 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, message)
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_non_negative_int.__name__ = "non-negative integer"  # argparse: "invalid <name> value"
+
+
 def build_parser():
     parser = _Parser(prog="wsseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    for flag in ("--checkpoint", "--data", "--out"):
+        checkpoint.add_argument(flag, required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int)
+    p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int)
+    p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a data split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("eval", parents=[checkpoint], help="evaluate a checkpoint on a data split")
+    p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("pseudo", help="dump transport plans and pseudo-labels")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("pseudo", parents=[checkpoint],
+                       help="dump transport plans and pseudo-labels")
+    p.add_argument("--seed", type=_non_negative_int)
+    p.set_defaults(handler=cmd_pseudo)
 
-    p = sub.add_parser("cams", help="dump class activation maps as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("cams", parents=[checkpoint], help="dump class activation maps as CSV")
+    p.set_defaults(handler=cmd_cams)
 
     p = sub.add_parser("report", help="aggregate eval reports across runs")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=cmd_report)
     return parser
 
 
@@ -91,15 +102,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError(EXIT_USAGE, "a subcommand is required (see --help)")
-        handler = {
-            "synth": cmd_synth,
-            "train": cmd_train,
-            "eval": cmd_eval,
-            "pseudo": cmd_pseudo,
-            "cams": cmd_cams,
-            "report": cmd_report,
-        }[args.command]
-        handler(args)
+        args.handler(args)
         return EXIT_OK
     except SystemExit as exc:  # --help lands here with code 0
         return int(exc.code or 0)
@@ -111,30 +114,39 @@ def main(argv=None):
         return EXIT_INTERNAL
 
 
-def _load_json(path):
-    if not os.path.exists(path):
-        raise CliError(EXIT_MISSING, f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # not JSON, not text, a directory
-        raise CliError(EXIT_CONFIG, f"cannot read config {path}: {exc}")
-
-
 def _require(path, what):
     if not os.path.exists(path):
         raise CliError(EXIT_MISSING, f"{what} not found: {path}")
     return path
 
 
-def cmd_synth(args):
-    config = _load_json(args.config)
+def _section(path, name):
+    """The ``name`` section of the JSON config at ``path``, as a new dict.
+    Exits 4 when the file is missing and 3 unless the file's top level and
+    the section are both JSON objects."""
+    _require(path, "config file")
     try:
-        synth = dict(config["synth"])
-    except KeyError:
-        raise CliError(EXIT_CONFIG, f"{args.config}: missing 'synth' section")
-    seed = args.seed if args.seed is not None else synth.pop("seed", 0)
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # not JSON, not text, a directory
+        raise CliError(EXIT_CONFIG, f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise CliError(EXIT_CONFIG, f"{path}: the config is not a JSON object")
+    if not isinstance(config.get(name), dict):
+        raise CliError(EXIT_CONFIG, f"{path}: missing {name!r} section or not an object")
+    return dict(config[name])
+
+
+def cmd_synth(args):
+    synth = _section(args.config, "synth")
+    seed = synth.pop("seed", 0)
+    if args.seed is not None:
+        seed = args.seed
     counts = {split: synth.pop(f"n_{split}", 0) for split in ("train", "val", "test")}
+    for name, value in [("seed", seed)] + [(f"n_{s}", n) for s, n in counts.items()]:
+        if type(value) is not int or value < 0:  # exactly int: JSON true is a bool
+            raise CliError(EXIT_CONFIG, f"invalid synth spec: {name} must be a"
+                                        f" non-negative integer, not {value!r}")
     try:
         spec = SyntheticSpec(**synth)
     except (TypeError, ValueError) as exc:
@@ -167,73 +179,62 @@ def cmd_synth(args):
     print(f"wrote dataset to {args.out}")
 
 
-def load_split(data_dir, split=None):
-    """Load every sequence CSV of a dataset directory (or one split)."""
-    meta_path = _require(os.path.join(data_dir, "meta.json"), "dataset meta")
+def load_dataset(path, net, code):
+    """Every labelled sequence CSV directly under ``path``, a dataset root
+    (holding ``meta.json``) or a split directory of one. Before any CSV is
+    parsed, the meta's channel and class counts must be ``net``'s
+    ``in_dim`` and ``num_classes``: exit ``code`` otherwise."""
+    meta_path = os.path.join(path, "meta.json")
+    if not os.path.exists(meta_path):  # a split directory: its parent holds the meta
+        meta_path = os.path.join(os.path.dirname(path.rstrip(os.sep)), "meta.json")
+    if not os.path.exists(meta_path):
+        raise CliError(EXIT_MISSING, f"no meta.json found at or above {path}")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-        num_channels, num_classes = meta["num_channels"], meta["num_classes"]
-    except (ValueError, KeyError, TypeError) as exc:
+        shape = {"num_channels": meta["num_channels"], "num_classes": meta["num_classes"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_DATA, f"invalid dataset meta {meta_path}: {exc!r}")
-    split_dir = os.path.join(data_dir, split) if split else data_dir
-    _require(split_dir, "data split")
+    for key, expected in (("num_channels", net.in_dim), ("num_classes", net.num_classes)):
+        if shape[key] != expected:
+            raise CliError(code, f"dataset {key} is {shape[key]}, the network expects {expected}")
+    if not os.path.isdir(path):
+        raise CliError(EXIT_MISSING, f"data split not found: {path}")
     items = []
-    for name in sorted(os.listdir(split_dir)):
+    for name in sorted(os.listdir(path)):
         if not name.endswith(".csv"):
             continue
-        path = os.path.join(split_dir, name)
+        csv_path = os.path.join(path, name)
         try:
             seq = load_sequence(
-                path,
-                num_channels,
-                num_classes=num_classes,
+                csv_path,
+                net.in_dim,
+                num_classes=net.num_classes,
                 sample_rate_hz=meta.get("sample_rate_hz", 1.0),
                 id=name[: -len(".csv")],
             )
         except (ValueError, KeyError) as exc:
             # the CSV parser's own messages already start with the path
-            detail = str(exc) if str(exc).startswith(path) else f"{path}: {exc}"
+            detail = str(exc) if str(exc).startswith(csv_path) else f"{csv_path}: {exc}"
             raise CliError(EXIT_DATA, f"invalid sequence {detail}")
         if seq.labels is None:
             raise CliError(EXIT_DATA, f"{name}: dense labels required")
         items.append(LabeledSequence(sequence=seq, labels=seq.labels))
     if not items:
-        raise CliError(EXIT_DATA, f"no sequence CSVs under {split_dir}")
-    return items, meta
-
-
-def _split_dir_of(data_path):
-    """Accept either a dataset root (with meta.json) or a split subdirectory."""
-    if os.path.exists(os.path.join(data_path, "meta.json")):
-        return data_path, None
-    parent = os.path.dirname(data_path.rstrip(os.sep))
-    if os.path.exists(os.path.join(parent, "meta.json")):
-        return parent, os.path.basename(data_path.rstrip(os.sep))
-    raise CliError(EXIT_MISSING, f"no meta.json found at or above {data_path}")
-
-
-def _check_shape(meta, net, code):
-    """Exit with ``code`` unless the dataset's channel and class counts
-    (from its meta.json) are the network's ``in_dim`` and ``num_classes``."""
-    for key, expected in (("num_channels", net.in_dim), ("num_classes", net.num_classes)):
-        if meta[key] != expected:
-            raise CliError(code, f"dataset {key} is {meta[key]}, the network expects {expected}")
+        raise CliError(EXIT_DATA, f"no sequence CSVs under {path}")
+    return items
 
 
 def cmd_train(args):
-    config_dict = _load_json(args.config)
+    section = _section(args.config, "train")
+    if args.seed is not None:
+        section["seed"] = args.seed
     try:
-        section = dict(config_dict["train"])
-        if args.seed is not None:
-            section["seed"] = args.seed
         config = TrainConfig.from_dict(section)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid train config: {exc}")
-    _require(args.data, "data directory")
-    train_set, meta = load_split(args.data, "train")
-    _check_shape(meta, config.net, EXIT_CONFIG)
-    val_set, _ = load_split(args.data, "val")
+    train_set = load_dataset(os.path.join(args.data, "train"), config.net, EXIT_CONFIG)
+    val_set = load_dataset(os.path.join(args.data, "val"), config.net, EXIT_CONFIG)
     os.makedirs(args.out, exist_ok=True)
     state, logs = trainer_mod.train(train_set, val_set, config, diag_dir=args.out)
     save_checkpoint(state, os.path.join(args.out, "checkpoint.npz"))
@@ -245,24 +246,34 @@ def cmd_train(args):
 def write_log_csv(path, logs):
     if not logs:
         return
-    keys = list(logs[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for record in logs:
-            writer.writerow([_fmt(record[k]) for k in keys])
+        writer = csv.DictWriter(fh, fieldnames=list(logs[0]))
+        writer.writeheader()
+        writer.writerows(logs)
 
 
-def _fmt(value):
-    return repr(value) if isinstance(value, float) else value
+def _write_columns(path, rows, classes):
+    """One CSV of ``rows`` under a ``class_<c>`` header, one column per class."""
+    np.savetxt(path, rows, delimiter=",", header=",".join(f"class_{c}" for c in classes),
+               comments="")
+
+
+def _checkpoint_inputs(args):
+    """The state at ``--checkpoint`` and the dataset at ``--data`` that
+    ``eval``, ``pseudo`` and ``cams`` read, with ``--out`` created. Exits 5
+    when either cannot be read or the dataset's shape is not the network's."""
+    path = _require(args.checkpoint, "checkpoint")
+    try:
+        state = load_checkpoint(path)
+    except (ValueError, KeyError, TypeError, zipfile.BadZipFile, OSError) as exc:
+        raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
+    data = load_dataset(args.data, state.config.net, EXIT_DATA)
+    os.makedirs(args.out, exist_ok=True)
+    return state, data
 
 
 def cmd_eval(args):
-    state = _load_state(args.checkpoint)
-    root, split = _split_dir_of(args.data)
-    data, meta = load_split(root, split)
-    _check_shape(meta, state.config.net, EXIT_DATA)
-    os.makedirs(args.out, exist_ok=True)
+    state, data = _checkpoint_inputs(args)
     preds = trainer_mod.predict(state, data)
     report = evaluate_many(
         [(pred, item.labels.labels) for pred, item in zip(preds, data)],
@@ -284,20 +295,8 @@ def cmd_eval(args):
           f" iou={report.iou:.4f} o_u={report.o_u:.4f}")
 
 
-def _load_state(path):
-    _require(path, "checkpoint")
-    try:
-        return load_checkpoint(path)
-    except (ValueError, KeyError, TypeError, zipfile.BadZipFile, OSError) as exc:
-        raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
-
-
 def cmd_pseudo(args):
-    state = _load_state(args.checkpoint)
-    root, split = _split_dir_of(args.data)
-    data, meta = load_split(root, split)
-    _check_shape(meta, state.config.net, EXIT_DATA)
-    os.makedirs(args.out, exist_ok=True)
+    state, data = _checkpoint_inputs(args)
     seed = args.seed if args.seed is not None else state.config.seed
     for item, ann in zip(data, trainer_mod.training_annotations(data, seed)):
         labels, plan, classes = trainer_mod.generate_pseudo_for_sequence(
@@ -307,60 +306,43 @@ def cmd_pseudo(args):
             missing = classes[~state.bank.initialized[classes]]
             print(f"{sid}: skipped (uninitialized prototypes for classes {missing.tolist()})")
             continue
-        np.savetxt(
-            os.path.join(args.out, f"q_tot_{sid}.csv"),
-            plan.q,
-            delimiter=",",
-            header=",".join(f"class_{c}" for c in classes.tolist()),
-            comments="",
-        )
-        np.savetxt(
-            os.path.join(args.out, f"pseudo_{sid}.csv"),
-            labels.y.T,
-            delimiter=",",
-            header=",".join(f"class_{c}" for c in range(labels.y.shape[0])),
-            comments="",
-        )
+        _write_columns(os.path.join(args.out, f"q_tot_{sid}.csv"), plan.q, classes.tolist())
+        _write_columns(os.path.join(args.out, f"pseudo_{sid}.csv"), labels.y.T,
+                       range(labels.y.shape[0]))
     print(f"wrote pseudo-label dumps to {args.out}")
 
 
 def cmd_cams(args):
-    state = _load_state(args.checkpoint)
-    root, split = _split_dir_of(args.data)
-    data, meta = load_split(root, split)
-    _check_shape(meta, state.config.net, EXIT_DATA)
-    os.makedirs(args.out, exist_ok=True)
+    state, data = _checkpoint_inputs(args)
     for item in data:
         outputs = net_mod.forward(item.sequence.data, state.params, state.config.net)
         cams = compute_cams(outputs.z, state.params["ml.w"])
-        np.savetxt(
-            os.path.join(args.out, f"cams_{item.sequence.id}.csv"),
-            cams.T,
-            delimiter=",",
-            header=",".join(f"class_{c}" for c in range(cams.shape[0])),
-            comments="",
-        )
+        _write_columns(os.path.join(args.out, f"cams_{item.sequence.id}.csv"), cams.T,
+                       range(cams.shape[0]))
     print(f"wrote CAM dumps to {args.out}")
 
 
 def cmd_report(args):
-    rows = []
-    for run in args.runs:
-        path = _require(os.path.join(run, "eval_report.csv"), "eval report")
-        with open(path, newline="") as fh:
-            metrics = {row[0]: row[1] for row in csv.reader(fh)}
-        rows.append((os.path.basename(run.rstrip(os.sep)) or run, metrics))
     keys = ["acc", "f_m", "ji", "iou", "o_u"]
+    rows = []
+    for run in args.runs:  # every report is read and checked before anything is written
+        path = _require(os.path.join(run, "eval_report.csv"), "eval report")
+        try:
+            with open(path, newline="") as fh:
+                metrics = dict(csv.reader(fh))  # ValueError unless every row has two cells
+            values = [float(metrics.get(k, "nan")) for k in keys]
+        except (OSError, ValueError, csv.Error) as exc:
+            raise CliError(EXIT_DATA, f"cannot read eval report {path}: {exc}")
+        rows.append((os.path.basename(run.rstrip(os.sep)) or run, metrics, values))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run"] + keys)
-        for name, metrics in rows:
+        for name, metrics, _ in rows:
             writer.writerow([name] + [metrics.get(k, "") for k in keys])
-    width = max(len(name) for name, _ in rows)
+    width = max(len(name) for name, _, _ in rows)
     print(f"{'run'.ljust(width)}  " + "  ".join(f"{k:>8}" for k in keys))
-    for name, metrics in rows:
-        vals = "  ".join(f"{float(metrics.get(k, 'nan')):8.4f}" for k in keys)
-        print(f"{name.ljust(width)}  {vals}")
+    for name, _, values in rows:
+        print(f"{name.ljust(width)}  " + "  ".join(f"{v:8.4f}" for v in values))
 
 
 if __name__ == "__main__":

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("epochs_init must be <= epochs_max")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs_init < self.epochs_max and not self.use_prototypes:
             raise ValueError("the pseudo-label phase requires prototypes")
         for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):
@@ -137,8 +139,7 @@ class TrainState:
     rng_batch: np.random.Generator  # crop order
     rng_mine: np.random.Generator  # contrast-mining seeds
     best_f_m: float
-    best_epoch: int
-    epochs_since_best: int
+    best_epoch: int  # early stopping counts the epochs since it
 
 
 def _streams(seed):
@@ -155,7 +156,7 @@ def new_state(config):
     moments = [{k: np.zeros_like(v) for k, v in params.items()} for _ in range(2)]
     # positional, in field order
     return TrainState(config, params, bank, *moments, 0, 0, config.lr,
-                      np.random.default_rng(ss_batch), np.random.default_rng(ss_mine), -1.0, 0, 0)
+                      np.random.default_rng(ss_batch), np.random.default_rng(ss_mine), -1.0, 0)
 
 
 def training_annotations(data_set, seed):
@@ -314,9 +315,6 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         if report.f_m > state.best_f_m:
             state.best_f_m = report.f_m
             state.best_epoch = state.epoch
-            state.epochs_since_best = 0
-        else:
-            state.epochs_since_best += 1
 
         record = {"epoch": state.epoch, "phase": phase, "lr": state.lr}
         for key in ("total", "seg", "segall", "cls", "con", "smooth", "conf"):
@@ -327,7 +325,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         )
         logs.append(record)
 
-        if state.epochs_since_best >= config.patience:
+        if state.epoch - state.best_epoch >= config.patience:
             break
     return state, logs
 
@@ -534,7 +532,6 @@ CHECKPOINT_FIELDS = (
     ("rng_mine_state", "rng_mine", lambda rng: rng.bit_generator.state, _generator),
     ("best_f_m", "best_f_m", _as_is, _as_is),
     ("best_epoch", "best_epoch", _as_is, _as_is),
-    ("epochs_since_best", "epochs_since_best", _as_is, _as_is),
     ("config", "config", TrainConfig.to_dict, TrainConfig.from_dict),
 )
 

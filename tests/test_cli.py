@@ -13,9 +13,10 @@ import wsseg.trainer as trainer_mod
 from wsseg.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_MISSING,
     EXIT_USAGE,
-    load_split,
+    load_dataset,
     main,
 )
 
@@ -128,8 +129,8 @@ def test_pseudo_uses_the_timestamps_training_drew(pipeline, tmp_path, monkeypatc
     generate = trainer_mod.generate_pseudo_for_sequence
     monkeypatch.setattr(trainer_mod, "generate_pseudo_for_sequence",
                         lambda x, ann, *args: seen.append(ann) or generate(x, ann, *args))
-    train_set, _ = load_split(str(data), "train")
     config = trainer_mod.load_checkpoint(run / "checkpoint.npz").config
+    train_set = load_dataset(str(data / "train"), config.net, EXIT_DATA)
     # one pseudo-phase epoch at the checkpoint's seed reports train()'s timestamps
     trainer_mod.train(train_set, train_set[:1],
                       dataclasses.replace(config, epochs_init=0, epochs_max=1))
@@ -374,3 +375,64 @@ def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys):
                   "--out", str(tmp_path / "run")]):
         assert main(argv) == EXIT_CONFIG
         assert f"cannot read config {folder}" in capsys.readouterr().err
+
+
+def _config_file(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _synth_argv(tmp_path, config, *extra):
+    return ["synth", "--config", _config_file(tmp_path, config), "--out", str(tmp_path / "out"),
+            *extra]
+
+
+def _train_argv(tmp_path, data, config, *extra):
+    return ["train", "--config", _config_file(tmp_path, config), "--data", str(data),
+            "--out", str(tmp_path / "out"), *extra]
+
+
+def _report_argv(tmp_path, text):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "eval_report.csv").write_text(text)
+    return ["report", "--runs", str(tmp_path / "run"), "--out", str(tmp_path / "out")]
+
+
+# malformed input: (exit code, argv(tmp_path, dataset root, checkpoint path))
+MALFORMED = {
+    "top-level-list": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, [1])),
+    "synth-section-list": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, {"synth": [1, 2]})),
+    "synth-section-string": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, {"synth": "ab"})),
+    "train-section-pairs": (EXIT_CONFIG, lambda t, d, c: _train_argv(
+        t, d, {"train": [list(pair) for pair in CONFIG["train"].items()]})),
+    "synth-string-seed": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], seed="x")})),
+    "synth-string-count": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], n_train="2")})),
+    "synth-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _synth_argv(
+        t, CONFIG, "--seed", "-1")),
+    "train-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _train_argv(
+        t, d, CONFIG, "--seed", "-1")),
+    "pseudo-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: [
+        "pseudo", "--checkpoint", str(c), "--data", str(d / "train"),
+        "--out", str(t / "out"), "--seed", "-1"]),
+    "train-negative-seed": (EXIT_CONFIG, lambda t, d, c: _train_argv(
+        t, d, {"train": dict(CONFIG["train"], seed=-1)})),
+    "data-is-a-file": (EXIT_MISSING, lambda t, d, c: [
+        "eval", "--checkpoint", str(c), "--data", str(d / "meta.json"), "--out", str(t / "out")]),
+    "report-non-numeric": (EXIT_DATA, lambda t, d, c: _report_argv(
+        t, "metric,value\nacc,0.5\nf_m,abc\n")),
+    "report-one-column": (EXIT_DATA, lambda t, d, c: _report_argv(t, "metric,value\nacc\n")),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_has_its_exit_code(pipeline, tmp_path, capsys, case):
+    _, _, data, run, _ = pipeline
+    expected, argv = MALFORMED[case]
+    code = main(argv(tmp_path, data, run / "checkpoint.npz"))
+    assert code != EXIT_INTERNAL
+    assert code == expected
+    assert capsys.readouterr().err.startswith("wsseg: error:")
+    assert not (tmp_path / "out").exists()  # nothing written

@@ -1,10 +1,11 @@
-"""The README's config example against the config dataclasses."""
+"""The README's config example against the config dataclasses and the CLI."""
 
 import dataclasses
 import json
 import re
 from pathlib import Path
 
+from wsseg.cli import main
 from wsseg.losses import LossWeights
 from wsseg.net import TcnConfig
 from wsseg.trainer import TrainConfig
@@ -29,3 +30,15 @@ def test_readme_train_example_names_every_option():
     assert sorted(section["net"]) == _names(TcnConfig)
     assert sorted(section["loss"]) == _names(LossWeights)
     assert config.to_dict() == section
+
+
+def test_readme_synth_example_runs_with_and_without_seed(tmp_path):
+    synth = dict(_config_example()["synth"], n_train=1, n_val=1, n_test=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": synth}))
+    for out, extra, seed in (("own", [], synth["seed"]), ("flag", ["--seed", "4"], 4)):
+        argv = ["synth", "--config", str(config), "--out", str(tmp_path / out)] + extra
+        assert main(argv) == 0
+        assert json.loads((tmp_path / out / "meta.json").read_text())["seed"] == seed
+    sequence = Path("train", "seq_000.csv")
+    assert (tmp_path / "own" / sequence).read_bytes() != (tmp_path / "flag" / sequence).read_bytes()

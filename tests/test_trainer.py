@@ -95,6 +95,7 @@ def test_config_validation():
     ("ot_rho", 0.0), ("ot_sigma", 0.0), ("ot_tol", 0.0), ("ot_tol", -1e-6),
     ("eps_hard", 2.0), ("eps_hard", -0.1),
     ("proto_momentum", 1.5), ("proto_momentum", -0.1), ("proto_momentum", float("nan")),
+    ("seed", -1),
 ])
 def test_config_rejects_bad_settings_when_built(name, value):
     with pytest.raises(ValueError, match=name):
@@ -191,8 +192,7 @@ def test_checkpoint_round_trips_every_field(tmp_path):
     assert loaded.config.proto_momentum == state.config.proto_momentum
     for name in ("rng_batch", "rng_mine"):
         assert getattr(loaded, name).bit_generator.state == getattr(state, name).bit_generator.state
-    for name in ("config", "adam_t", "epoch", "lr", "best_f_m", "best_epoch",
-                 "epochs_since_best"):
+    for name in ("config", "adam_t", "epoch", "lr", "best_f_m", "best_epoch"):
         assert getattr(loaded, name) == getattr(state, name)
     # the generators carry on where the saved ones would have
     assert loaded.rng_batch.integers(2 ** 63) == state.rng_batch.integers(2 ** 63)
@@ -327,6 +327,24 @@ def test_checkpoint_resume_bit_identical(tmp_path):
         np.testing.assert_array_equal(state_cont.params[key], state_full.params[key])
     assert state_cont.adam_t == state_full.adam_t
     np.testing.assert_array_equal(state_cont.bank.p, state_full.bank.p)
+
+
+def test_checkpoint_with_a_stored_epochs_since_best_resumes(tmp_path):
+    # checkpoints written before the count was derived from the epochs carry it
+    data = _corpus(3, seed=2)
+    config = _config(epochs_max=3, epochs_init=1)
+    _, logs_full = train(data, data[:1], config)
+    half, logs_half = train(data, data[:1], _config(epochs_max=1, epochs_init=1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(half, path)
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["epochs_since_best"] = half.epoch - half.best_epoch
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    _, logs_cont = train(data, data[:1], config, state=load_checkpoint(path))
+    assert logs_half + logs_cont == logs_full
 
 
 def test_resume_adopts_the_new_config(tmp_path):
@@ -481,4 +499,4 @@ def test_early_stopping(monkeypatch):
     # patience 2: stops after the second epoch in a row without a new best
     assert [r["val_f_m"] for r in logs] == [0.5, 0.4, 0.6, 0.6, 0.55]
     assert state.epoch == 5
-    assert (state.best_f_m, state.best_epoch, state.epochs_since_best) == (0.6, 3, 2)
+    assert (state.best_f_m, state.best_epoch, state.epoch - state.best_epoch) == (0.6, 3, 2)
