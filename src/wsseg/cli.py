@@ -120,6 +120,15 @@ def _require(path, what):
     return path
 
 
+def _out_dir(path):
+    """Create the ``--out`` directory ``path`` if needed. Exits 2 when it
+    cannot be, for instance when it is a file or lies under one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot create output directory {path}: {exc.strerror}")
+
+
 def _section(path, name):
     """The ``name`` section of the JSON config at ``path``, as a new dict.
     Exits 4 when the file is missing and 3 unless the file's top level and
@@ -152,7 +161,7 @@ def cmd_synth(args):
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid synth spec: {exc}")
 
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     root = np.random.SeedSequence(seed)
     means_rng = np.random.default_rng(root.spawn(1)[0])
     if spec.class_means is None:
@@ -235,7 +244,7 @@ def cmd_train(args):
         raise CliError(EXIT_CONFIG, f"invalid train config: {exc}")
     train_set = load_dataset(os.path.join(args.data, "train"), config.net, EXIT_CONFIG)
     val_set = load_dataset(os.path.join(args.data, "val"), config.net, EXIT_CONFIG)
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     state, logs = trainer_mod.train(train_set, val_set, config, diag_dir=args.out)
     save_checkpoint(state, os.path.join(args.out, "checkpoint.npz"))
     write_log_csv(os.path.join(args.out, "train_log.csv"), logs)
@@ -261,14 +270,15 @@ def _write_columns(path, rows, classes):
 def _checkpoint_inputs(args):
     """The state at ``--checkpoint`` and the dataset at ``--data`` that
     ``eval``, ``pseudo`` and ``cams`` read, with ``--out`` created. Exits 5
-    when either cannot be read or the dataset's shape is not the network's."""
+    when either cannot be read or the dataset's shape is not the network's,
+    and 2 when ``--out`` cannot be created."""
     path = _require(args.checkpoint, "checkpoint")
     try:
         state = load_checkpoint(path)
     except (ValueError, KeyError, TypeError, zipfile.BadZipFile, OSError) as exc:
         raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
     data = load_dataset(args.data, state.config.net, EXIT_DATA)
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     return state, data
 
 
@@ -334,7 +344,11 @@ def cmd_report(args):
         except (OSError, ValueError, csv.Error) as exc:
             raise CliError(EXIT_DATA, f"cannot read eval report {path}: {exc}")
         rows.append((os.path.basename(run.rstrip(os.sep)) or run, metrics, values))
-    with open(args.out, "w", newline="") as fh:
+    try:
+        out = open(args.out, "w", newline="")
+    except OSError as exc:  # a directory, or under a file
+        raise CliError(EXIT_USAGE, f"cannot write report {args.out}: {exc.strerror}")
+    with out as fh:
         writer = csv.writer(fh)
         writer.writerow(["run"] + keys)
         for name, metrics, _ in rows:

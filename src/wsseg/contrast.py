@@ -53,6 +53,44 @@ def _empty(num_classes):
     return ContrastBatch(np.zeros(0), np.zeros((0, num_classes)), np.zeros((0, num_classes)))
 
 
+def _choices(rng, rows, pop, keep):
+    """``[rng.choice(pop, keep, replace=False) for _ in range(rows)]`` as
+    one (rows, keep) int64 array, from one draw of 32-bit words.
+
+    numpy draws each subset by Floyd's algorithm (step j in
+    [pop - keep, pop) takes a uniform integer in [0, j], or j itself when
+    that one is already taken) and then a Fisher-Yates shuffle (step i
+    from keep - 1 down to 1 swaps i with a uniform integer in [0, i]).
+    A uniform integer in [0, n) is Lemire's ``(word * n) >> 32`` of the
+    bit generator's next 32-bit word; n = 1 (j = 0) takes no word.
+    ``rng.integers(0, 2**32, dtype=np.uint32)`` hands out the same words
+    in the same order, one the generator holds buffered included, so every
+    row is replayed at once. When any draw would hit Lemire's rejection
+    branch (probability under pop / 2**32 per draw), or numpy would take
+    its tail-shuffle branch (pop above 10,000), the state is restored and
+    the rows are drawn one call at a time.
+    """
+    saved = rng.bit_generator.state
+    steps = range(pop - keep, pop)
+    # the exclusive bound of each draw of a row: Floyd's j + 1, then the shuffle's i + 1
+    bounds = np.array([j + 1 for j in steps if j] + list(range(keep, 1, -1)), dtype=np.uint64)
+    scaled = rng.integers(0, 2 ** 32, size=(rows, bounds.size), dtype=np.uint32) * bounds
+    if pop > 10_000 or np.any(scaled.astype(np.uint32) < np.uint64(2 ** 32) % bounds):
+        rng.bit_generator.state = saved
+        picks = [rng.choice(pop, size=keep, replace=False) for _ in range(rows)]
+        return np.array(picks, dtype=np.int64).reshape(rows, keep)
+    draws = iter((scaled >> np.uint64(32)).astype(np.int64).T)
+    out = np.empty((rows, keep), dtype=np.int64)
+    for k, j in enumerate(steps):
+        val = next(draws) if j else np.zeros(rows, dtype=np.int64)
+        out[:, k] = np.where((out[:, :k] == val[:, None]).any(axis=1), j, val) if k else val
+    r = np.arange(rows)
+    for i in range(keep - 1, 0, -1):
+        j = next(draws)
+        out[r, j], out[:, i] = out[:, i], out[r, j]
+    return out
+
+
 def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=64):
     """Build a ContrastBatch for one sequence.
 
@@ -77,7 +115,9 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
         chosen = rand_pick
         n_hard = n - n_rand
         if n_hard > 0:
-            rest = eligible[~np.isin(eligible, rand_pick)]
+            taken = np.zeros(mask_classes.size, dtype=bool)
+            taken[rand_pick] = True
+            rest = eligible[~taken[eligible]]
             # hardness: cosine with own positive prototype closest to -1
             own = (vn[:, rest] * bank.p[mask_classes[rest]].T).sum(axis=0)
             order = np.argsort(own, kind="stable")[:n_hard]
@@ -91,9 +131,11 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
         k_hard = math.ceil(0.6 * (init.size - 1))
         pools = init[np.argsort(-sims, axis=1, kind="stable")[:, :k_hard]]
         k_keep = math.ceil(0.5 * k_hard)
-        # one draw per anchor, in anchor order; drawing positions in the
-        # pool takes the same random numbers as drawing from the pool
-        picks = np.array([rng.choice(k_hard, size=k_keep, replace=False) for _ in anchors])
+        # one subset per anchor, in anchor order, all from one batched
+        # replay of rng.choice(k_hard, k_keep, replace=False) per anchor;
+        # drawing positions in the pool takes the same random numbers as
+        # drawing from the pool
+        picks = _choices(rng, anchors.size, k_hard, k_keep)
         idx = np.arange(anchors.size)
         neg = np.zeros((anchors.size, c), dtype=bool)
         neg[idx[:, None], np.take_along_axis(pools, picks, axis=1)] = True

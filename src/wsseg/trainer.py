@@ -405,11 +405,11 @@ def _train_batch(batch, train_set, state, pseudo_labels, diag_dir):
             cam_weights = cam_mod.normalize_cams(cams)
             vn, norms = net_mod.l2_normalize_columns(outputs.v)
             for cls_idx in range(config.net.num_classes):
-                mask = np.flatnonzero(mask_classes == cls_idx)
-                ts_pos = crop.ann.positions[crop.ann.classes == cls_idx]
-                if ts_pos.size:
-                    mask = np.union1d(mask, ts_pos)
-                est = estimate_prototype(vn, cam_weights[cls_idx], mask, config.proto_k)
+                member = mask_classes == cls_idx
+                member[crop.ann.positions[crop.ann.classes == cls_idx]] = True
+                est = estimate_prototype(
+                    vn, cam_weights[cls_idx], np.flatnonzero(member), config.proto_k
+                )
                 if est is not None:
                     update_bank(state.bank, cls_idx, est, config.proto_momentum)
 

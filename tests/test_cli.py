@@ -399,6 +399,22 @@ def _report_argv(tmp_path, text):
     return ["report", "--runs", str(tmp_path / "run"), "--out", str(tmp_path / "out")]
 
 
+BLOCKER = "not a directory\n"
+
+
+def _blocker(tmp_path, *below):
+    """An existing file at ``tmp_path/blocker``, as an ``--out`` value: the
+    file itself or a path under it."""
+    path = tmp_path / "blocker"
+    path.write_text(BLOCKER)
+    return str(path.joinpath(*below))
+
+
+def _with_out(argv, out):
+    argv[argv.index("--out") + 1] = out
+    return argv
+
+
 # malformed input: (exit code, argv(tmp_path, dataset root, checkpoint path))
 MALFORMED = {
     "top-level-list": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, [1])),
@@ -424,6 +440,14 @@ MALFORMED = {
     "report-non-numeric": (EXIT_DATA, lambda t, d, c: _report_argv(
         t, "metric,value\nacc,0.5\nf_m,abc\n")),
     "report-one-column": (EXIT_DATA, lambda t, d, c: _report_argv(t, "metric,value\nacc\n")),
+    "synth-out-is-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
+        _synth_argv(t, CONFIG), _blocker(t))),
+    "train-out-under-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
+        _train_argv(t, d, CONFIG), _blocker(t, "run"))),
+    "eval-out-is-a-file": (EXIT_USAGE, lambda t, d, c: [
+        "eval", "--checkpoint", str(c), "--data", str(d / "test"), "--out", _blocker(t)]),
+    "report-out-under-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
+        _report_argv(t, "metric,value\nacc,0.5\n"), _blocker(t, "summary.csv"))),
 }
 
 
@@ -431,8 +455,14 @@ MALFORMED = {
 def test_malformed_input_has_its_exit_code(pipeline, tmp_path, capsys, case):
     _, _, data, run, _ = pipeline
     expected, argv = MALFORMED[case]
-    code = main(argv(tmp_path, data, run / "checkpoint.npz"))
+    argv = argv(tmp_path, data, run / "checkpoint.npz")
+    code = main(argv)
     assert code != EXIT_INTERNAL
     assert code == expected
-    assert capsys.readouterr().err.startswith("wsseg: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("wsseg: error:")
     assert not (tmp_path / "out").exists()  # nothing written
+    blocker = tmp_path / "blocker"
+    if blocker.exists():  # an --out that cannot be created is named, and nothing replaces it
+        assert argv[argv.index("--out") + 1] in err
+        assert blocker.read_text() == BLOCKER

@@ -1,9 +1,11 @@
 """Hard-example mining and sample-to-prototype InfoNCE."""
 
+import math
+
 import numpy as np
 import pytest
 
-from wsseg.contrast import ContrastBatch, info_nce, mine_pairs
+from wsseg.contrast import ContrastBatch, _choices, info_nce, mine_pairs
 from wsseg.proto import PrototypeBank, update_bank
 from wsseg.seqdata import TimestampAnnotations
 
@@ -209,7 +211,7 @@ def test_info_nce_mixture_positive_uses_weighted_vector(rng):
 
 
 def _random_problem(rng):
-    c = int(rng.integers(2, 8))
+    c = int(rng.integers(2, 13))
     dim = int(rng.integers(2, 13))
     t_len = int(rng.integers(5, 260))
     vn = _unit_rows(rng, t_len, dim).T.copy()
@@ -228,8 +230,10 @@ def _random_problem(rng):
 def test_mine_matches_loop_reference():
     rng = np.random.default_rng(2310)
     mined = 0
+    kept = set()  # negatives kept per regular anchor
     for seed in range(200):
         vn, mask, y_prob, ann, bank, anchor_count = _random_problem(rng)
+        kept.add(math.ceil(0.5 * math.ceil(0.6 * (bank.initialized.sum() - 1))))
         got = mine_pairs(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
         ref = mine_pairs_loop(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
         want = to_batch(ref, bank.p.shape[0])
@@ -237,6 +241,69 @@ def test_mine_matches_loop_reference():
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         mined += len(got) > 0
     assert mined > 150
+    assert {1, 2, 3, 4} <= kept
+
+
+def _per_row_choices(rng, rows, pop, keep):
+    picks = [rng.choice(pop, size=keep, replace=False) for _ in range(rows)]
+    return np.array(picks, dtype=np.int64).reshape(rows, keep)
+
+
+class _ChoiceSpy(np.random.Generator):
+    """A PCG64 generator that counts its ``choice`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return super().choice(*args, **kwargs)
+
+
+def test_choices_matches_per_row_choice():
+    meta = np.random.default_rng(4242)
+    seen = set()
+    fallbacks = 0
+    for _ in range(10_000):
+        pop = int(meta.integers(1, 12))
+        keep = int(meta.integers(0, pop + 1))
+        rows = int(meta.integers(0, 80))
+        seed = int(meta.integers(2 ** 32))
+        earlier = int(meta.integers(0, 3))  # an odd count leaves a buffered 32-bit half
+        got_rng, want_rng = _ChoiceSpy(seed), np.random.default_rng(seed)
+        for g in (got_rng, want_rng):
+            for _ in range(earlier):
+                g.integers(7)
+        buffered = bool(got_rng.bit_generator.state["has_uint32"])
+        got = _choices(got_rng, rows, pop, keep)
+        fallbacks += got_rng.calls
+        want = _per_row_choices(want_rng, rows, pop, keep)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (rows, pop, keep, seed)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        seen.update([("buffered", buffered), ("rows 0", rows == 0),
+                     ("keep = pop", keep == pop), ("pop 1", pop == 1)])
+    assert all((name, flag) in seen for name in ("buffered", "rows 0", "keep = pop", "pop 1")
+               for flag in (False, True))
+    assert fallbacks == 0  # every problem went through the batched replay
+
+
+def test_choices_falls_back_to_per_row_choice():
+    # a buffered half of 0 drawn into [0, 3) lands in Lemire's rejection branch
+    got_rng, want_rng = _ChoiceSpy(5), np.random.default_rng(5)
+    for g in (got_rng, want_rng):
+        state = g.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        g.bit_generator.state = state
+    got = _choices(got_rng, 6, 3, 1)
+    assert got_rng.calls == 6
+    np.testing.assert_array_equal(got, _per_row_choices(want_rng, 6, 3, 1))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # above a population of 10,000 numpy may shuffle a tail instead
+    got_rng, want_rng = _ChoiceSpy(6), np.random.default_rng(6)
+    got = _choices(got_rng, 2, 20_000, 1_000)
+    assert got_rng.calls == 2
+    np.testing.assert_array_equal(got, _per_row_choices(want_rng, 2, 20_000, 1_000))
 
 
 def test_info_nce_matches_loop_reference():
