@@ -26,7 +26,8 @@ dict with the same keys. Gradients flow through every path, including the
 softmax hand-off between stages.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,15 @@ from .seqdata import SensorSequence
 
 class StaleCacheError(RuntimeError):
     """The forward cache was built from different parameter arrays."""
+
+
+def check_integers(config, names):
+    """Raise ``ValueError`` naming the first of ``names`` whose value on
+    ``config`` is not an integer. A numpy integer is one; a bool is not."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -49,6 +59,7 @@ class TcnConfig:
     projector_dim: int = 32
 
     def __post_init__(self):
+        check_integers(self, [f.name for f in fields(self)])
         if min(self.in_dim, self.num_classes, self.stages, self.layers_per_stage) < 1:
             raise ValueError("network dimensions must be >= 1")
         if min(self.feature_dim, self.kernel_width, self.projector_dim) < 1:

@@ -29,7 +29,7 @@ from . import net as net_mod
 from . import otrans as otrans_mod
 from . import pseudo as pseudo_mod
 from .metrics import evaluate_many
-from .net import TcnConfig
+from .net import TcnConfig, check_integers
 from .losses import LossWeights
 from .proto import PrototypeBank, estimate_prototype, update_bank
 from .seqdata import (
@@ -45,6 +45,11 @@ CHECKPOINT_VERSION = 1
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# The loss parts of a crop, a batch and an epoch, in train-log column order
+# (``loss_<key>``). Every sum of them starts at 0.0 for each key, so a term
+# that did not run adds 0.0 and logs 0.0.
+LOSS_KEYS = ("total", "seg", "segall", "cls", "con", "smooth", "conf")
 
 # Retired config keys and the one value each could still hold: older
 # checkpoints and configs carry them, and from_dict drops them.
@@ -90,6 +95,10 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self):
+        check_integers(self, ("epochs_max", "epochs_init", "batch_size", "crop_len", "seed",
+                              "proto_k", "anchor_count", "lr_period", "ot_max_iters", "patience"))
+        if not isinstance(self.use_prototypes, bool):
+            raise ValueError(f"use_prototypes must be true or false, got {self.use_prototypes!r}")
         if self.epochs_init > self.epochs_max:
             raise ValueError("epochs_init must be <= epochs_max")
         if not 0.0 < self.lr_factor <= 1.0:
@@ -290,22 +299,22 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
 
     logs = []
     for epoch in range(state.epoch, config.epochs_max):
+        if epoch - state.best_epoch >= config.patience:
+            break
         phase = "pseudo" if epoch >= config.epochs_init else (
             "timestamp" if config.use_prototypes else "warmup"
         )
-        pseudo_labels = None
-        if phase == "pseudo":
-            pseudo_labels = _regenerate_pseudo(train_set, annotations, aug, state)
+        targets = (_regenerate_pseudo(train_set, annotations, aug, state) if phase == "pseudo"
+                   else [None] * len(train_set))  # None: the sequence keeps L_seg
 
         order = state.rng_batch.permutation(len(crops))
-        totals = {}
-        n_batches = 0
-        for b0 in range(0, order.size, config.batch_size):
+        starts = range(0, order.size, config.batch_size)
+        totals = dict.fromkeys(LOSS_KEYS, 0.0)
+        for b0 in starts:
             batch = [crops[i] for i in order[b0 : b0 + config.batch_size]]
-            parts_mean = _train_batch(batch, train_set, state, pseudo_labels, diag_dir)
-            for k, v in parts_mean.items():
-                totals[k] = totals.get(k, 0.0) + v
-            n_batches += 1
+            parts_mean = _train_batch(batch, train_set, state, targets, diag_dir)
+            for key in LOSS_KEYS:
+                totals[key] += parts_mean[key]
 
         if (epoch + 1) % config.lr_period == 0:
             state.lr *= config.lr_factor
@@ -317,140 +326,129 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             state.best_epoch = state.epoch
 
         record = {"epoch": state.epoch, "phase": phase, "lr": state.lr}
-        for key in ("total", "seg", "segall", "cls", "con", "smooth", "conf"):
-            record[f"loss_{key}"] = totals.get(key, 0.0) / max(n_batches, 1)
+        record.update((f"loss_{key}", totals[key] / len(starts)) for key in LOSS_KEYS)
         record.update(
             val_acc=report.acc, val_f_m=report.f_m, val_ji=report.ji,
             val_iou=report.iou, val_o_u=report.o_u,
         )
         logs.append(record)
-
-        if state.epoch - state.best_epoch >= config.patience:
-            break
     return state, logs
 
 
 def _regenerate_pseudo(train_set, annotations, aug, state):
-    out = {}
+    """One phase-2 target per training sequence: its dense pseudo-labels,
+    one-hot at every ``mix_supervision`` sample, or None where the sequence
+    keeps L_seg."""
+    targets = []
     unconverged = solved = 0
-    for idx, (item, ann) in enumerate(zip(train_set, annotations)):
+    for item, ann, (pos, cls) in zip(train_set, annotations, aug):
         labels, plan, _ = generate_pseudo_for_sequence(item.sequence.data, ann, state)
         if plan is not None:
             solved += 1
             unconverged += not plan.converged
-        if labels is None:
-            out[idx] = None
-            continue
-        y = labels.y
-        pos, cls = aug[idx]
-        y[:, pos] = 0.0
-        y[cls, pos] = 1.0
-        out[idx] = y
+        if labels is not None:
+            labels.y[:, pos] = 0.0
+            labels.y[cls, pos] = 1.0
+        targets.append(None if labels is None else labels.y)
     if unconverged:
         warnings.warn(
             f"Sinkhorn did not converge within ot_max_iters={state.config.ot_max_iters} for"
             f" {unconverged} of {solved} sequences; their pseudo-labels come from the"
             " last iterate"
         )
-    return out
+    return targets
 
 
-def _train_batch(batch, train_set, state, pseudo_labels, diag_dir):
+def _train_batch(batch, train_set, state, targets, diag_dir):
+    """One Adam step on the batch's mean gradient; returns the batch mean of
+    each loss part."""
     config, params = state.config, state.params
-    stages = config.net.stages
-    weights = config.loss
     grad_sum = {k: np.zeros_like(v) for k, v in params.items()}
-    parts_sum = {}
-
+    parts_sum = dict.fromkeys(LOSS_KEYS, 0.0)
     for crop in batch:
-        item = train_set[crop.seq_idx]
-        x = item.sequence.data[:, crop.start : crop.stop]
+        x = train_set[crop.seq_idx].sequence.data[:, crop.start : crop.stop]
         outputs, cache = net_mod.forward_cached(x, params, config.net)
-        dy = [np.zeros_like(p) for p in outputs.y_prob]
-        parts = {}
-
-        def add_stage_term(key, s, w, value_grad):
-            val, g = value_grad
-            parts[key] = parts.get(key, 0.0) + val / stages
-            dy[s] += w * g / stages
-
-        # dense pseudo-labels when the sequence has them, else the timestamps
-        full = pseudo_labels.get(crop.seq_idx) if pseudo_labels else None
-        y_tilde = None if full is None else full[:, crop.start : crop.stop]
-        for s in range(stages):
-            y = outputs.y_prob[s]
-            if y_tilde is not None:
-                add_stage_term("segall", s, 1.0, losses_mod.l_seg_all(y, y_tilde))
-            else:
-                add_stage_term("seg", s, 1.0, losses_mod.l_seg_timestamps(
-                    y, crop.aug_positions, crop.aug_classes
-                ))
-            if weights.lambda_s > 0 and y.shape[1] >= 2:
-                add_stage_term("smooth", s, weights.lambda_s, losses_mod.l_smooth(
-                    y, weights.tau_trunc
-                ))
-            if weights.lambda_conf > 0 and len(crop.ann) >= 2:
-                add_stage_term("conf", s, weights.lambda_conf, losses_mod.l_conf(
-                    y, crop.ann.positions, crop.ann.classes
-                ))
-
-        dy_s_logits = None
-        dv = None
-        if config.use_prototypes:
-            val, dy_s_logits = losses_mod.l_cls(outputs.y_s_logits, crop.multilabel)
-            parts["cls"] = val
-
-            cams = cam_mod.compute_cams(outputs.z, params["ml.w"])
-            mask_classes = cam_mod.pseudo_mask(cams)
-            cam_weights = cam_mod.normalize_cams(cams)
-            vn, norms = net_mod.l2_normalize_columns(outputs.v)
-            for cls_idx in range(config.net.num_classes):
-                member = mask_classes == cls_idx
-                member[crop.ann.positions[crop.ann.classes == cls_idx]] = True
-                est = estimate_prototype(
-                    vn, cam_weights[cls_idx], np.flatnonzero(member), config.proto_k
-                )
-                if est is not None:
-                    update_bank(state.bank, cls_idx, est, config.proto_momentum)
-
-            if weights.lambda_con > 0:
-                mined = contrast_mod.mine_pairs(
-                    vn,
-                    mask_classes,
-                    outputs.y_prob[-1],
-                    crop.ann,
-                    state.bank,
-                    seed=int(state.rng_mine.integers(2 ** 63)),
-                    anchor_count=config.anchor_count,
-                )
-                if mined:
-                    val, d_vn = contrast_mod.info_nce(mined, vn, state.bank, weights.tau_contrast)
-                    parts["con"] = val
-                    dv = net_mod.l2_normalize_backward(weights.lambda_con * d_vn, vn, norms)
-
-        total = losses_mod.combined(parts, weights)
-        parts["total"] = total
-        if not np.isfinite(total):
+        target = targets[crop.seq_idx]
+        y_tilde = None if target is None else target[:, crop.start : crop.stop]
+        parts, grads = _crop_objective(crop, outputs, state, y_tilde)
+        if not np.isfinite(parts["total"]):
             path = _dump_diagnostics(diag_dir, crop, x, outputs, parts)
             where = f"diagnostics written to {path}" if path else "no diagnostics written"
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {state.epoch + 1}, sequence {crop.seq_idx}"
                 f" crop [{crop.start}, {crop.stop}); {where}"
             )
-
-        net_mod.backward(
-            net_mod.OutputGrads(dz=None, dy_prob=dy, dy_s_logits=dy_s_logits, dv=dv),
-            cache,
-            params,
-            config.net,
-            grad_sum,
-        )
-        for k, v in parts.items():
-            parts_sum[k] = parts_sum.get(k, 0.0) + v
+        net_mod.backward(grads, cache, params, config.net, grad_sum)
+        for key in LOSS_KEYS:
+            parts_sum[key] += parts[key]
 
     n = len(batch)
     _adam_step(state, {k: v / n for k, v in grad_sum.items()})
     return {k: v / n for k, v in parts_sum.items()}
+
+
+def _crop_objective(crop, outputs, state, y_tilde):
+    """The crop's loss parts, one per ``LOSS_KEYS`` entry, and the gradient
+    of its objective with respect to the network outputs. ``y_tilde`` is
+    the crop's dense target, or None for the timestamp term. With
+    prototypes, the crop's CAMs also update the prototype bank, and contrast
+    mining draws its seed from ``state.rng_mine``."""
+    config, params = state.config, state.params
+    weights, stages = config.loss, config.net.stages
+    parts = dict.fromkeys(LOSS_KEYS, 0.0)
+    dy = [np.zeros_like(p) for p in outputs.y_prob]
+    for s, y in enumerate(outputs.y_prob):
+        if y_tilde is not None:
+            terms = [("segall", 1.0, losses_mod.l_seg_all(y, y_tilde))]
+        else:
+            terms = [("seg", 1.0, losses_mod.l_seg_timestamps(
+                y, crop.aug_positions, crop.aug_classes
+            ))]
+        if weights.lambda_s > 0 and y.shape[1] >= 2:
+            terms.append(("smooth", weights.lambda_s, losses_mod.l_smooth(y, weights.tau_trunc)))
+        if weights.lambda_conf > 0 and len(crop.ann) >= 2:
+            terms.append(("conf", weights.lambda_conf, losses_mod.l_conf(
+                y, crop.ann.positions, crop.ann.classes
+            )))
+        for key, w, (val, g) in terms:
+            parts[key] += val / stages
+            dy[s] += w * g / stages
+
+    dy_s_logits = dv = None
+    if config.use_prototypes:
+        parts["cls"], dy_s_logits = losses_mod.l_cls(outputs.y_s_logits, crop.multilabel)
+
+        cams = cam_mod.compute_cams(outputs.z, params["ml.w"])
+        mask_classes = cam_mod.pseudo_mask(cams)
+        cam_weights = cam_mod.normalize_cams(cams)
+        vn, norms = net_mod.l2_normalize_columns(outputs.v)
+        for cls_idx in range(config.net.num_classes):
+            member = mask_classes == cls_idx
+            member[crop.ann.positions[crop.ann.classes == cls_idx]] = True
+            est = estimate_prototype(
+                vn, cam_weights[cls_idx], np.flatnonzero(member), config.proto_k
+            )
+            if est is not None:
+                update_bank(state.bank, cls_idx, est, config.proto_momentum)
+
+        if weights.lambda_con > 0:
+            mined = contrast_mod.mine_pairs(
+                vn,
+                mask_classes,
+                outputs.y_prob[-1],
+                crop.ann,
+                state.bank,
+                seed=int(state.rng_mine.integers(2 ** 63)),
+                anchor_count=config.anchor_count,
+            )
+            if mined:
+                parts["con"], d_vn = contrast_mod.info_nce(
+                    mined, vn, state.bank, weights.tau_contrast
+                )
+                dv = net_mod.l2_normalize_backward(weights.lambda_con * d_vn, vn, norms)
+
+    parts["total"] = losses_mod.combined(parts, weights)
+    return parts, net_mod.OutputGrads(dz=None, dy_prob=dy, dy_s_logits=dy_s_logits, dv=dv)
 
 
 def _adam_step(state, grads):

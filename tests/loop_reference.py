@@ -274,9 +274,10 @@ def sinkhorn_log(problem, max_iters=5000, tol=1e-6):
 
 def sinkhorn_direct(problem, max_iters=5000, tol=1e-6):
     """Sinkhorn on the scaling vectors u, v of the kernel exp(S / reg) * T."""
-    k = np.exp(problem.score / problem.reg)
-    if problem.log_prior is not None:
-        k = k * np.exp(problem.log_prior)
+    with np.errstate(over="ignore"):  # an overflowed kernel raises below
+        k = np.exp(problem.score / problem.reg)
+        if problem.log_prior is not None:
+            k = k * np.exp(problem.log_prior)
     if not np.all(np.isfinite(k)) or np.any(k.sum(axis=1) == 0) or np.any(k.sum(axis=0) == 0):
         raise KernelOverflowError(
             "kernel exp(score/reg) is not finite and positive; rescale scores or raise reg"

@@ -348,7 +348,14 @@ def test_retired_train_key_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("field, train", [
     ("lr_period", dict(CONFIG["train"], lr_period=0)),
     ("kernel_width", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], kernel_width=2))),
-], ids=["lr_period", "kernel_width"])
+    ("epochs_max", dict(CONFIG["train"], epochs_max=30.0)),
+    ("batch_size", dict(CONFIG["train"], batch_size=2.5)),
+    ("batch_size", dict(CONFIG["train"], batch_size=True)),
+    ("proto_k", dict(CONFIG["train"], proto_k=6.0)),
+    ("use_prototypes", dict(CONFIG["train"], use_prototypes="no")),
+    ("feature_dim", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], feature_dim=8.0))),
+], ids=["lr_period", "kernel_width", "epochs_max-float", "batch_size-float", "batch_size-bool",
+        "proto_k-float", "use_prototypes-string", "feature_dim-float"])
 def test_bad_train_setting_is_a_config_error(tmp_path, capsys, field, train):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": train}))

@@ -123,6 +123,16 @@ def test_config_rejects_even_kernel_width(kernel_width):
                       kernel_width=kernel_width)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("in_dim", 3.0), ("num_classes", True), ("stages", "1"), ("layers_per_stage", None),
+    ("feature_dim", 8.0), ("kernel_width", 3.0), ("projector_dim", 4.5),
+])
+def test_config_rejects_non_integer_dimensions(name, value):
+    dims = dict(in_dim=3, num_classes=2, stages=1, layers_per_stage=2, feature_dim=4)
+    with pytest.raises(ValueError, match=name):
+        net.TcnConfig(**dict(dims, **{name: value}))
+
+
 def test_global_average_pool():
     np.testing.assert_array_equal(net.global_average_pool(np.full((3, 5), 2.0)), [2, 2, 2])
     np.testing.assert_array_equal(net.global_average_pool(np.array([[4.0], [1.0]])), [4, 1])

@@ -96,10 +96,20 @@ def test_config_validation():
     ("eps_hard", 2.0), ("eps_hard", -0.1),
     ("proto_momentum", 1.5), ("proto_momentum", -0.1), ("proto_momentum", float("nan")),
     ("seed", -1),
+    ("epochs_max", 2.0), ("epochs_init", 1.0), ("batch_size", 2.5), ("batch_size", True),
+    ("crop_len", "120"), ("seed", 7.0), ("proto_k", 6.0), ("anchor_count", None),
+    ("lr_period", 1e2), ("ot_max_iters", 500.0), ("patience", False),
+    ("use_prototypes", "no"), ("use_prototypes", 1),
 ])
 def test_config_rejects_bad_settings_when_built(name, value):
     with pytest.raises(ValueError, match=name):
         _config(**{name: value})
+
+
+def test_config_accepts_numpy_integers():
+    net = TcnConfig(**{k: np.int64(v) for k, v in dataclasses.asdict(_config().net).items()})
+    config = _config(net=net, epochs_max=np.int32(4), batch_size=np.int64(4), seed=np.uint8(7))
+    assert config.batch_size == 4 and config.net == _config().net
 
 
 def test_config_dict_round_trip():
@@ -489,14 +499,61 @@ def test_evaluate_repeatable_and_chance_level():
     assert abs(mean_acc - 1 / 3) <= 0.1
 
 
-def test_early_stopping(monkeypatch):
-    # validation F_m per epoch: a tie does not improve, a rise resets the count
-    scripted = iter([0.5, 0.4, 0.6, 0.6, 0.55, 0.9, 0.9, 0.9])
+def _script_validation(monkeypatch, f_m):
+    scripted = iter(f_m)
     monkeypatch.setattr(trainer_mod, "evaluate", lambda state, data: SimpleNamespace(
         f_m=next(scripted), acc=0.0, ji=0.0, iou=0.0, o_u=0.0))
+
+
+def test_early_stopping(monkeypatch):
+    # validation F_m per epoch: a tie does not improve, a rise resets the count
+    _script_validation(monkeypatch, [0.5, 0.4, 0.6, 0.6, 0.55, 0.9, 0.9, 0.9])
     data = _corpus(2, seed=10, t_len=150)
     state, logs = train(data, data[:1], _config(epochs_max=8, epochs_init=8, patience=2))
     # patience 2: stops after the second epoch in a row without a new best
     assert [r["val_f_m"] for r in logs] == [0.5, 0.4, 0.6, 0.6, 0.55]
     assert state.epoch == 5
     assert (state.best_f_m, state.best_epoch, state.epoch - state.best_epoch) == (0.6, 3, 2)
+
+
+def test_early_stopped_state_resumes_with_no_further_epoch(monkeypatch):
+    _script_validation(monkeypatch, [0.5, 0.4, 0.6, 0.6, 0.55, 0.9, 0.9, 0.9])
+    data = _corpus(2, seed=10, t_len=150)
+    config = _config(epochs_max=8, epochs_init=8, patience=2)
+    state, _ = train(data, data[:1], config)
+    assert state.epoch == 5
+    params = copy.deepcopy(state.params)
+    state, logs = train(data, data[:1], config, state=state)
+    assert logs == []
+    assert state.epoch == 5
+    assert all(np.array_equal(state.params[k], params[k]) for k in params)
+
+
+def test_pseudo_phase_targets_are_one_hot_at_mixed_samples(monkeypatch):
+    # each crop's phase-2 target, as l_seg_all sees it, beside the crop's
+    # promoted positions and classes
+    seen, crops = [], []
+    objective, l_seg_all = trainer_mod._crop_objective, losses_mod.l_seg_all
+
+    def crop_objective(crop, *args):
+        crops.append(crop)
+        return objective(crop, *args)
+
+    def capture(y_prob, y_tilde):
+        seen.append((crops[-1], y_tilde.copy()))
+        return l_seg_all(y_prob, y_tilde)
+
+    monkeypatch.setattr(trainer_mod, "_crop_objective", crop_objective)
+    monkeypatch.setattr(losses_mod, "l_seg_all", capture)
+    data = _corpus(4, seed=8)
+    _, logs = train(data, data[:1], _config(mixed_fraction=0.5))
+    assert [r["phase"] for r in logs] == ["timestamp", "timestamp", "pseudo", "pseudo"]
+    assert seen
+    soft = 0
+    for crop, y_tilde in seen:
+        assert crop.aug_positions.size > len(crop.ann)  # more than the timestamps
+        one_hot = np.zeros((y_tilde.shape[0], crop.aug_positions.size))
+        one_hot[crop.aug_classes, np.arange(crop.aug_positions.size)] = 1.0
+        np.testing.assert_array_equal(y_tilde[:, crop.aug_positions], one_hot)
+        soft += int(np.count_nonzero(y_tilde.max(axis=0) < 1.0))
+    assert soft > 0  # the unpromoted samples keep their soft pseudo-labels
