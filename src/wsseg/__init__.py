@@ -12,6 +12,7 @@ from .otrans import TransportPlan, TransportProblem, sinkhorn, solve_order_prese
 from .proto import PrototypeBank
 from .seqdata import (
     DenseLabels,
+    LabeledSequence,
     SensorSequence,
     SyntheticSpec,
     TimestampAnnotations,
@@ -20,6 +21,6 @@ from .seqdata import (
     sample_timestamps,
     segments_of,
 )
-from .trainer import LabeledSequence, TrainConfig, TrainState, evaluate, train
+from .trainer import TrainConfig, TrainState, evaluate, train
 
 __version__ = "0.1.0"

@@ -21,12 +21,13 @@ from . import trainer as trainer_mod
 from .cam import compute_cams
 from .metrics import evaluate_many
 from .seqdata import (
+    LabeledSequence,
     SyntheticSpec,
     generate_synthetic,
     load_sequence,
     write_sequence_csv,
 )
-from .trainer import LabeledSequence, TrainConfig, load_checkpoint, save_checkpoint
+from .trainer import TrainConfig, load_checkpoint, save_checkpoint
 from .viz import segmentation_ribbon_svg
 
 EXIT_OK = 0
@@ -173,13 +174,12 @@ def cmd_synth(args):
         split_dir = os.path.join(args.out, split)
         os.makedirs(split_dir, exist_ok=True)
         for i in range(count):
-            seq, labels = generate_synthetic(spec, np.random.SeedSequence([seed, index]))
-            write_sequence_csv(os.path.join(split_dir, f"seq_{i:03d}.csv"), seq, labels)
+            item = LabeledSequence(*generate_synthetic(spec, np.random.SeedSequence([seed, index])))
+            write_sequence_csv(os.path.join(split_dir, f"seq_{i:03d}.csv"), item)
             index += 1
     meta = {
         "num_classes": spec.num_classes,
         "num_channels": spec.num_channels,
-        "sample_rate_hz": spec.sample_rate_hz,
         "seed": seed,
         "splits": counts,
     }
@@ -192,7 +192,8 @@ def load_dataset(path, net, code):
     """Every labelled sequence CSV directly under ``path``, a dataset root
     (holding ``meta.json``) or a split directory of one. Before any CSV is
     parsed, the meta's channel and class counts must be ``net``'s
-    ``in_dim`` and ``num_classes``: exit ``code`` otherwise."""
+    ``in_dim`` and ``num_classes``: exit ``code`` otherwise. Other meta keys,
+    such as an older file's ``sample_rate_hz``, are ignored."""
     meta_path = os.path.join(path, "meta.json")
     if not os.path.exists(meta_path):  # a split directory: its parent holds the meta
         meta_path = os.path.join(os.path.dirname(path.rstrip(os.sep)), "meta.json")
@@ -215,20 +216,12 @@ def load_dataset(path, net, code):
             continue
         csv_path = os.path.join(path, name)
         try:
-            seq = load_sequence(
-                csv_path,
-                net.in_dim,
-                num_classes=net.num_classes,
-                sample_rate_hz=meta.get("sample_rate_hz", 1.0),
-                id=name[: -len(".csv")],
-            )
-        except (ValueError, KeyError) as exc:
+            items.append(load_sequence(csv_path, net.in_dim, net.num_classes,
+                                       id=name[: -len(".csv")]))
+        except ValueError as exc:
             # the CSV parser's own messages already start with the path
             detail = str(exc) if str(exc).startswith(csv_path) else f"{csv_path}: {exc}"
             raise CliError(EXIT_DATA, f"invalid sequence {detail}")
-        if seq.labels is None:
-            raise CliError(EXIT_DATA, f"{name}: dense labels required")
-        items.append(LabeledSequence(sequence=seq, labels=seq.labels))
     if not items:
         raise CliError(EXIT_DATA, f"no sequence CSVs under {path}")
     return items

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .net import check_fields
+
 CLAMP = 1e-12
 
 
@@ -26,6 +28,7 @@ class LossWeights:
     tau_contrast: float = 0.1  # InfoNCE temperature, forwarded to contrast
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.lambda_con, self.lambda_s, self.lambda_conf) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.tau_trunc <= 0 or self.tau_contrast <= 0:

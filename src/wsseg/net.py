@@ -32,20 +32,30 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernels import dilated_conv_backward, dilated_conv_forward
-from .seqdata import SensorSequence
 
 
 class StaleCacheError(RuntimeError):
     """The forward cache was built from different parameter arrays."""
 
 
-def check_integers(config, names):
-    """Raise ``ValueError`` naming the first of ``names`` whose value on
-    ``config`` is not an integer. A numpy integer is one; a bool is not."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+# What a config field annotated with the key takes, and how to say so.
+_FIELD_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                bool: (bool, "true or false")}
+
+
+def check_fields(config):
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``config`` whose value does not fit its ``int``, ``float`` or ``bool``
+    annotation. Numpy numbers fit; a bool fits only a ``bool`` field.
+    Fields of any other annotation, such as nested configs and arrays, are
+    not checked."""
+    for f in fields(config):
+        if f.type not in _FIELD_TYPES:
+            continue
+        value = getattr(config, f.name)
+        kind, what = _FIELD_TYPES[f.type]
+        if not isinstance(value, kind) or (isinstance(value, bool) and f.type is not bool):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -59,7 +69,7 @@ class TcnConfig:
     projector_dim: int = 32
 
     def __post_init__(self):
-        check_integers(self, [f.name for f in fields(self)])
+        check_fields(self)
         if min(self.in_dim, self.num_classes, self.stages, self.layers_per_stage) < 1:
             raise ValueError("network dimensions must be >= 1")
         if min(self.feature_dim, self.kernel_width, self.projector_dim) < 1:
@@ -181,7 +191,7 @@ def l2_normalize_backward(d_vn, vn, norms):
 
 
 def _input(x, config):
-    data = x.data if isinstance(x, SensorSequence) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     if data.shape[0] != config.in_dim:
         raise ValueError(f"input has {data.shape[0]} channels, config expects {config.in_dim}")
     return data

@@ -2,10 +2,10 @@
 annotation sampling, and synthetic corpus generation.
 
 A sensor sequence is a ``(D, T)`` float array of normalized channel
-readings. Dense labels, when present, assign one class index per sample.
-Timestamp annotations carry exactly one labeled sample per activity
-segment. Class indices are 0-based; class 0 is the background/null class
-by convention.
+readings. A labelled sequence pairs one with its dense labels, one class
+index per sample. Timestamp annotations carry exactly one labeled sample
+per activity segment. Class indices are 0-based; class 0 is the
+background/null class by convention.
 """
 
 import csv
@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .net import check_fields
+
 
 class ParseError(ValueError):
     """A CSV row could not be interpreted as numeric sample data."""
 
 
 class SchemaError(ValueError):
-    """The file disagrees with the declared channel count."""
+    """A CSV row does not hold the declared channels plus a label."""
 
 
 class EmptyInputError(ValueError):
@@ -29,9 +31,7 @@ class EmptyInputError(ValueError):
 @dataclass
 class SensorSequence:
     data: np.ndarray  # (D, T)
-    sample_rate_hz: float = 1.0
     id: str = ""
-    labels: "DenseLabels | None" = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -39,14 +39,6 @@ class SensorSequence:
             raise ValueError(f"sequence data must be (D>=1, T>=1), got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("sequence data contains non-finite values")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.labels is not None and len(self.labels) != self.num_samples:
-            raise ValueError("dense labels length does not match sequence length")
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[0]
 
     @property
     def num_samples(self) -> int:
@@ -69,6 +61,20 @@ class DenseLabels:
 
     def __len__(self) -> int:
         return self.labels.size
+
+
+@dataclass
+class LabeledSequence:
+    """A sequence and its dense labels: what ``train`` and ``evaluate``
+    take, ``load_sequence`` reads and ``write_sequence_csv`` writes."""
+
+    sequence: SensorSequence
+    labels: DenseLabels
+
+    def __post_init__(self):
+        if len(self.labels) != self.sequence.num_samples:
+            raise ValueError(f"{len(self.labels)} labels for a sequence of"
+                             f" {self.sequence.num_samples} samples")
 
 
 @dataclass(frozen=True)
@@ -126,9 +132,9 @@ class SyntheticSpec:
     class_means: np.ndarray | None = None
     mean_scale: float = 1.0
     segment_jitter: float = 0.0
-    sample_rate_hz: float = 50.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         if min(self.num_channels, self.length, self.seg_len_min, self.seg_len_max) < 1:
@@ -143,17 +149,13 @@ class SyntheticSpec:
                 raise ValueError("class_means must be (num_classes, num_channels)")
 
 
-def load_sequence(path, num_channels, num_classes=None, sample_rate_hz=1.0, id=""):
-    """Read one sequence from CSV: one sample per row, ``num_channels``
-    numeric fields plus an optional trailing integer label column.
-
-    A non-numeric first row is treated as a header and skipped. Dense
-    labels, when present, are attached to the returned sequence;
-    ``num_classes`` defaults to ``max(label) + 1``.
-    """
+def load_sequence(path, num_channels, num_classes, id=""):
+    """Read one labelled sequence from CSV: one sample per row,
+    ``num_channels`` numeric fields and then an integer label in
+    ``[0, num_classes)``. A non-numeric first row is a header and is
+    skipped. Errors name the file and the line."""
     rows = []
     labels = []
-    has_labels = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, raw in enumerate(reader, start=1):
@@ -162,56 +164,36 @@ def load_sequence(path, num_channels, num_classes=None, sample_rate_hz=1.0, id="
                 continue
             if lineno == 1 and not _is_float(fields[0]):
                 continue  # header
-            if len(fields) == num_channels:
-                row_has_label = False
-            elif len(fields) == num_channels + 1:
-                row_has_label = True
-            else:
+            if len(fields) != num_channels + 1:
                 raise SchemaError(
                     f"{path}: line {lineno}: expected {num_channels} channels"
-                    f" (+ optional label), got {len(fields)} fields"
+                    f" and a label, got {len(fields)} fields"
                 )
-            if has_labels is None:
-                has_labels = row_has_label
-            elif has_labels != row_has_label:
-                raise SchemaError(f"{path}: line {lineno}: inconsistent label column")
             try:
                 values = [float(f) for f in fields[:num_channels]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric channel value")
             if not all(np.isfinite(values)):
                 raise ParseError(f"{path}: line {lineno}: non-finite channel value")
+            try:
+                labels.append(int(fields[num_channels]))
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-integer label")
             rows.append(values)
-            if row_has_label:
-                try:
-                    labels.append(int(fields[num_channels]))
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-integer label")
     if not rows:
         raise EmptyInputError(f"{path}: no samples")
-    data = np.asarray(rows, dtype=np.float64).T
-    dense = None
-    if has_labels:
-        arr = np.asarray(labels, dtype=np.int64)
-        c = num_classes if num_classes is not None else int(arr.max()) + 1
-        dense = DenseLabels(arr, c)
-    return SensorSequence(data, sample_rate_hz=sample_rate_hz, id=id, labels=dense)
+    sequence = SensorSequence(np.asarray(rows, dtype=np.float64).T, id=id)
+    return LabeledSequence(sequence, DenseLabels(labels, num_classes))
 
 
-def write_sequence_csv(path, sequence, labels=None):
-    """Write a sequence (and optional dense labels) in load_sequence's format."""
-    d, t = sequence.data.shape
+def write_sequence_csv(path, item):
+    """Write the labelled sequence ``item`` in load_sequence's format."""
+    data = item.sequence.data
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        cols = [f"ch{i}" for i in range(d)]
-        if labels is not None:
-            cols.append("label")
-        writer.writerow(cols)
-        for i in range(t):
-            row = [repr(float(v)) for v in sequence.data[:, i]]
-            if labels is not None:
-                row.append(int(labels.labels[i]))
-            writer.writerow(row)
+        writer.writerow([f"ch{i}" for i in range(data.shape[0])] + ["label"])
+        for column, label in zip(data.T, item.labels.labels):
+            writer.writerow([repr(float(v)) for v in column] + [int(label)])
 
 
 def segments_of(labels):
@@ -246,7 +228,8 @@ def sequence_multilabel(annotations, num_classes):
 
 
 def generate_synthetic(spec, seed):
-    """Generate one (sequence, dense labels) pair from a SyntheticSpec.
+    """Generate one (sequence, dense labels) pair from a SyntheticSpec;
+    ``LabeledSequence(*generate_synthetic(spec, seed))`` pairs them.
 
     Segment classes are uniform with no immediate repeats, so consecutive
     segments always differ. Deterministic for a fixed seed.
@@ -276,9 +259,7 @@ def generate_synthetic(spec, seed):
             data[:, start:stop] += offset[:, None]
     if spec.noise_sigma > 0:
         data += rng.normal(0.0, spec.noise_sigma, size=data.shape)
-    dense = DenseLabels(labels, spec.num_classes)
-    seq = SensorSequence(data, sample_rate_hz=spec.sample_rate_hz, labels=dense)
-    return seq, dense
+    return SensorSequence(data), DenseLabels(labels, spec.num_classes)
 
 
 def _is_float(text):

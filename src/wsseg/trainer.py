@@ -29,12 +29,11 @@ from . import net as net_mod
 from . import otrans as otrans_mod
 from . import pseudo as pseudo_mod
 from .metrics import evaluate_many
-from .net import TcnConfig, check_integers
+from .net import TcnConfig, check_fields
 from .losses import LossWeights
 from .proto import PrototypeBank, estimate_prototype, update_bank
-from .seqdata import (
-    DenseLabels,
-    SensorSequence,
+from .seqdata import (  # LabeledSequence: re-exported, the data type train takes
+    LabeledSequence,
     TimestampAnnotations,
     sample_timestamps,
     segments_of,
@@ -65,12 +64,6 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass
-class LabeledSequence:
-    sequence: SensorSequence
-    labels: DenseLabels
-
-
-@dataclass
 class TrainConfig:
     net: TcnConfig
     loss: LossWeights = field(default_factory=LossWeights)
@@ -95,16 +88,14 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self):
-        check_integers(self, ("epochs_max", "epochs_init", "batch_size", "crop_len", "seed",
-                              "proto_k", "anchor_count", "lr_period", "ot_max_iters", "patience"))
-        if not isinstance(self.use_prototypes, bool):
-            raise ValueError(f"use_prototypes must be true or false, got {self.use_prototypes!r}")
+        check_fields(self)
+        for name in ("epochs_max", "epochs_init", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.epochs_init > self.epochs_max:
             raise ValueError("epochs_init must be <= epochs_max")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.epochs_init < self.epochs_max and not self.use_prototypes:
             raise ValueError("the pseudo-label phase requires prototypes")
         for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):

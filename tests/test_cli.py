@@ -247,6 +247,7 @@ def _drop_num_channels(text):
 DATA_FAULTS = {
     "non-numeric-channel": ("seq_000.csv", lambda text: text + "abc,1.0,0\n"),
     "label-out-of-range": ("seq_000.csv", lambda text: text + "0.5,0.5,7\n"),
+    "row-without-label": ("seq_000.csv", lambda text: text + "0.5,0.5\n"),
     "meta-not-json": ("meta.json", lambda text: "{not json"),
     "meta-without-num-channels": ("meta.json", _drop_num_channels),
 }
@@ -274,6 +275,18 @@ def test_unreadable_dataset_is_a_data_error(pipeline, tmp_path, capsys, command,
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert named in capsys.readouterr().err
+
+
+def test_meta_with_a_sample_rate_still_loads_and_trains(tmp_path):
+    data = _synth(tmp_path, "data")
+    meta = json.loads((data / "meta.json").read_text())
+    assert "sample_rate_hz" not in meta
+    (data / "meta.json").write_text(json.dumps(dict(meta, sample_rate_hz=50.0)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], epochs_max=1, epochs_init=1)}))
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "checkpoint.npz").exists()
 
 
 def test_train_channels_must_match_the_data(tmp_path, capsys):
@@ -354,8 +367,14 @@ def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     ("proto_k", dict(CONFIG["train"], proto_k=6.0)),
     ("use_prototypes", dict(CONFIG["train"], use_prototypes="no")),
     ("feature_dim", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], feature_dim=8.0))),
+    ("lr", dict(CONFIG["train"], lr=True)),
+    ("eps_hard", dict(CONFIG["train"], eps_hard=False)),
+    ("tau_contrast", dict(CONFIG["train"], loss=dict(CONFIG["train"]["loss"], tau_contrast=True))),
+    ("epochs_init", dict(CONFIG["train"], epochs_init=-3, epochs_max=2)),
+    ("epochs_max", dict(CONFIG["train"], epochs_init=-2, epochs_max=-1)),
 ], ids=["lr_period", "kernel_width", "epochs_max-float", "batch_size-float", "batch_size-bool",
-        "proto_k-float", "use_prototypes-string", "feature_dim-float"])
+        "proto_k-float", "use_prototypes-string", "feature_dim-float", "lr-bool", "eps_hard-bool",
+        "tau_contrast-bool", "epochs_init-negative", "epochs_max-negative"])
 def test_bad_train_setting_is_a_config_error(tmp_path, capsys, field, train):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": train}))
@@ -433,6 +452,12 @@ MALFORMED = {
         t, {"synth": dict(CONFIG["synth"], seed="x")})),
     "synth-string-count": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
         t, {"synth": dict(CONFIG["synth"], n_train="2")})),
+    "synth-float-length": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], length=50.5)})),
+    "synth-bool-length": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], length=True)})),
+    "synth-bool-noise": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], noise_sigma=True)})),
     "synth-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _synth_argv(
         t, CONFIG, "--seed", "-1")),
     "train-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _train_argv(

@@ -309,6 +309,15 @@ def test_combined_matches_each_phase_formula_exactly(rng):
         assert combined({}, w) == 0.0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lambda_s", True), ("tau_contrast", True), ("lambda_con", False), ("tau_trunc", "4.0"),
+    ("lambda_conf", None),
+])
+def test_weights_reject_a_value_that_is_not_a_number(name, value):
+    with pytest.raises(ValueError, match=name):
+        LossWeights(**{name: value})
+
+
 def test_all_losses_nonnegative_random(rng):
     for _ in range(25):
         y = _probs(rng)

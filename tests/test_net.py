@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wsseg import net
-from wsseg.seqdata import SensorSequence
 
 from conftest import assert_grad_close, central_difference, naive_dilated_conv
 
@@ -77,15 +76,6 @@ def test_forward_pure_and_columns_normalized(rng):
         np.testing.assert_array_equal(pa, pb)
         np.testing.assert_allclose(pa.sum(axis=0), 1.0, atol=1e-6)
     np.testing.assert_array_equal(a.v, b.v)
-
-
-def test_forward_accepts_sensor_sequence(rng):
-    params = net.init_params(SMALL, 3)
-    data = rng.standard_normal((2, 12))
-    np.testing.assert_array_equal(
-        net.forward(SensorSequence(data), params, SMALL).z,
-        net.forward(data, params, SMALL).z,
-    )
 
 
 def test_forward_rejects_wrong_channel_count(rng):

@@ -1,11 +1,14 @@
 """Data model, CSV ingestion, segment extraction and synthetic generation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from wsseg.seqdata import (
     DenseLabels,
     EmptyInputError,
+    LabeledSequence,
     ParseError,
     SchemaError,
     SensorSequence,
@@ -22,51 +25,71 @@ from wsseg.seqdata import (
 
 def test_load_sequence_shapes(tmp_path):
     path = tmp_path / "seq.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,8.0\n")
-    seq = load_sequence(path, 2)
-    assert seq.num_channels == 2 and seq.num_samples == 4
-    assert seq.labels is None
+    path.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,1\n7.0,8.0,0\n")
+    item = load_sequence(path, 2, 3, id="seq")
+    assert item.sequence.data.shape == (2, 4) and item.sequence.num_samples == 4
+    assert item.sequence.id == "seq"
+    np.testing.assert_array_equal(item.sequence.data[:, 1], [3.0, 4.0])
+    np.testing.assert_array_equal(item.labels.labels, [0, 1, 1, 0])
 
 
 def test_load_sequence_header_and_labels(tmp_path):
     path = tmp_path / "seq.csv"
     path.write_text("ch0,ch1,label\n1.0,2.0,0\n3.0,4.0,2\n")
-    seq = load_sequence(path, 2)
-    assert seq.labels is not None
-    assert seq.labels.num_classes == 3
-    np.testing.assert_array_equal(seq.labels.labels, [0, 2])
+    item = load_sequence(path, 2, 4)
+    assert item.labels.num_classes == 4  # the argument, not max(label) + 1
+    np.testing.assert_array_equal(item.labels.labels, [0, 2])
 
 
 def test_load_sequence_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(EmptyInputError):
-        load_sequence(path, 2)
+        load_sequence(path, 2, 3)
 
 
 def test_load_sequence_nan_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\nnan,4.0\n")
+    path.write_text("1.0,2.0,0\nnan,4.0,1\n")
     with pytest.raises(ParseError, match="line 2"):
-        load_sequence(path, 2)
+        load_sequence(path, 2, 3)
 
 
 def test_load_sequence_schema_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,3.0,4.0\n")
     with pytest.raises(SchemaError):
-        load_sequence(path, 2)
+        load_sequence(path, 2, 3)
+
+
+@pytest.mark.parametrize("text", ["ch0,ch1,label\n1.0,2.0,0\n3.0,4.0\n",
+                                  "1.0,2.0\n3.0,4.0\n5.0,6.0\n"])
+def test_load_sequence_row_without_label_names_line(tmp_path, text):
+    path = tmp_path / "unlabelled.csv"
+    path.write_text(text)
+    line = 3 if text.startswith("ch0") else 1
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: line {line}: ") + ".*label"):
+        load_sequence(path, 2, 3)
 
 
 def test_csv_round_trip(tmp_path, rng):
     data = rng.standard_normal((3, 7))
-    labels = DenseLabels(rng.integers(0, 4, size=7), 4)
-    seq = SensorSequence(data, sample_rate_hz=10.0)
+    item = LabeledSequence(SensorSequence(data), DenseLabels(rng.integers(0, 4, size=7), 4))
     path = tmp_path / "rt.csv"
-    write_sequence_csv(path, seq, labels)
-    back = load_sequence(path, 3, num_classes=4, sample_rate_hz=10.0)
-    np.testing.assert_array_equal(back.data, data)
-    np.testing.assert_array_equal(back.labels.labels, labels.labels)
+    write_sequence_csv(path, item)
+    back = load_sequence(path, 3, 4)
+    np.testing.assert_array_equal(back.sequence.data, data)
+    np.testing.assert_array_equal(back.labels.labels, item.labels.labels)
+    assert back.labels.num_classes == 4
+    write_sequence_csv(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("count", [150, 199, 201, 260])
+def test_labeled_sequence_needs_one_label_per_sample(rng, count):
+    sequence = SensorSequence(rng.standard_normal((2, 200)))
+    with pytest.raises(ValueError, match=f"{count} labels for a sequence of 200 samples"):
+        LabeledSequence(sequence, DenseLabels(np.zeros(count, dtype=int), 3))
 
 
 @pytest.mark.parametrize(
@@ -152,6 +175,15 @@ def _spec(**kw):
     )
     base.update(kw)
     return SyntheticSpec(**base)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("length", 2.5), ("length", True), ("num_classes", 3.0), ("seg_len_max", "12"),
+    ("noise_sigma", True), ("mean_scale", "1.0"), ("segment_jitter", False),
+])
+def test_spec_rejects_a_value_of_the_wrong_type(name, value):
+    with pytest.raises(ValueError, match=name):
+        _spec(**{name: value})
 
 
 def test_generate_synthetic_zero_noise_piecewise_constant():

@@ -88,6 +88,9 @@ def test_config_validation():
         _config(lr_factor=0.0)
     with pytest.raises(ValueError):
         _config(epochs_init=1, epochs_max=4, use_prototypes=False)
+    with pytest.raises(ValueError, match="epochs_max must be >= 0"):
+        _config(epochs_init=-2, epochs_max=-1)  # in order, yet no epoch would run
+    assert _config(epochs_init=0, epochs_max=0).epochs_max == 0
 
 
 @pytest.mark.parametrize("name, value", [
@@ -100,6 +103,9 @@ def test_config_validation():
     ("crop_len", "120"), ("seed", 7.0), ("proto_k", 6.0), ("anchor_count", None),
     ("lr_period", 1e2), ("ot_max_iters", 500.0), ("patience", False),
     ("use_prototypes", "no"), ("use_prototypes", 1),
+    ("lr", True), ("lr", "0.001"), ("lr_factor", True), ("eps_hard", False),
+    ("mixed_fraction", True), ("ot_tol", None),
+    ("epochs_init", -3), ("epochs_max", -1),
 ])
 def test_config_rejects_bad_settings_when_built(name, value):
     with pytest.raises(ValueError, match=name):
