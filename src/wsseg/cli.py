@@ -218,6 +218,8 @@ def load_dataset(path, net, code):
         try:
             items.append(load_sequence(csv_path, net.in_dim, net.num_classes,
                                        id=name[: -len(".csv")]))
+        except OSError as exc:  # a directory, an unreadable file
+            raise CliError(EXIT_DATA, f"cannot read sequence {csv_path}: {exc.strerror}")
         except ValueError as exc:
             # the CSV parser's own messages already start with the path
             detail = str(exc) if str(exc).startswith(csv_path) else f"{csv_path}: {exc}"
@@ -333,7 +335,9 @@ def cmd_report(args):
         try:
             with open(path, newline="") as fh:
                 metrics = dict(csv.reader(fh))  # ValueError unless every row has two cells
-            values = [float(metrics.get(k, "nan")) for k in keys]
+            values = [float(metrics[k]) for k in keys]
+        except KeyError as exc:
+            raise CliError(EXIT_DATA, f"eval report {path} has no {exc.args[0]} metric")
         except (OSError, ValueError, csv.Error) as exc:
             raise CliError(EXIT_DATA, f"cannot read eval report {path}: {exc}")
         rows.append((os.path.basename(run.rstrip(os.sep)) or run, metrics, values))
@@ -345,7 +349,7 @@ def cmd_report(args):
         writer = csv.writer(fh)
         writer.writerow(["run"] + keys)
         for name, metrics, _ in rows:
-            writer.writerow([name] + [metrics.get(k, "") for k in keys])
+            writer.writerow([name] + [metrics[k] for k in keys])
     width = max(len(name) for name, _, _ in rows)
     print(f"{'run'.ljust(width)}  " + "  ".join(f"{k:>8}" for k in keys))
     for name, _, values in rows:

@@ -1,11 +1,12 @@
-"""Sequence data model: CSV ingestion, run-length segments, timestamp
-annotation sampling, and synthetic corpus generation.
+"""Sequence data model: CSV ingestion, label runs, timestamp annotation
+sampling, and synthetic corpus generation.
 
 A sensor sequence is a ``(D, T)`` float array of normalized channel
 readings. A labelled sequence pairs one with its dense labels, one class
 index per sample. Timestamp annotations carry exactly one labeled sample
 per activity segment. Class indices are 0-based; class 0 is the
-background/null class by convention.
+background/null class by convention. A malformed CSV raises
+``ValueError`` naming the file and the line.
 """
 
 import csv
@@ -14,18 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import check_fields
-
-
-class ParseError(ValueError):
-    """A CSV row could not be interpreted as numeric sample data."""
-
-
-class SchemaError(ValueError):
-    """A CSV row does not hold the declared channels plus a label."""
-
-
-class EmptyInputError(ValueError):
-    """The file holds no samples."""
 
 
 @dataclass
@@ -75,21 +64,6 @@ class LabeledSequence:
         if len(self.labels) != self.sequence.num_samples:
             raise ValueError(f"{len(self.labels)} labels for a sequence of"
                              f" {self.sequence.num_samples} samples")
-
-
-@dataclass(frozen=True)
-class Segment:
-    class_index: int
-    start: int
-    end: int  # inclusive
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("segment start must be <= end")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass
@@ -165,23 +139,23 @@ def load_sequence(path, num_channels, num_classes, id=""):
             if lineno == 1 and not _is_float(fields[0]):
                 continue  # header
             if len(fields) != num_channels + 1:
-                raise SchemaError(
+                raise ValueError(
                     f"{path}: line {lineno}: expected {num_channels} channels"
                     f" and a label, got {len(fields)} fields"
                 )
             try:
                 values = [float(f) for f in fields[:num_channels]]
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric channel value")
+                raise ValueError(f"{path}: line {lineno}: non-numeric channel value")
             if not all(np.isfinite(values)):
-                raise ParseError(f"{path}: line {lineno}: non-finite channel value")
+                raise ValueError(f"{path}: line {lineno}: non-finite channel value")
             try:
                 labels.append(int(fields[num_channels]))
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-integer label")
+                raise ValueError(f"{path}: line {lineno}: non-integer label")
             rows.append(values)
     if not rows:
-        raise EmptyInputError(f"{path}: no samples")
+        raise ValueError(f"{path}: no samples")
     sequence = SensorSequence(np.asarray(rows, dtype=np.float64).T, id=id)
     return LabeledSequence(sequence, DenseLabels(labels, num_classes))
 
@@ -197,23 +171,20 @@ def write_sequence_csv(path, item):
 
 
 def segments_of(labels):
-    """Maximal runs of equal class, tiling [0, T)."""
-    arr = labels.labels
-    boundaries = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [arr.size - 1]))
-    return [Segment(int(arr[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+    """The maximal runs of equal class of the 1-D label array ``labels``,
+    as int64 arrays ``(classes, starts, stops)``; stops are exclusive and
+    the runs tile ``[0, T)``."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+    stops = np.append(starts[1:], labels.size)
+    return labels[starts].astype(np.int64), starts, stops
 
 
 def sample_timestamps(labels, seed):
     """Draw one annotated sample uniformly inside each segment."""
     rng = np.random.default_rng(seed)
-    positions = []
-    classes = []
-    for seg in segments_of(labels):
-        positions.append(int(rng.integers(seg.start, seg.end + 1)))
-        classes.append(seg.class_index)
-    return TimestampAnnotations(np.array(positions), np.array(classes))
+    classes, starts, stops = segments_of(labels.labels)
+    positions = [int(rng.integers(start, stop)) for start, stop in zip(starts, stops)]
+    return TimestampAnnotations(np.array(positions), classes)
 
 
 def sequence_multilabel(annotations, num_classes):
@@ -241,7 +212,6 @@ def generate_synthetic(spec, seed):
     labels = np.empty(spec.length, dtype=np.int64)
     pos = 0
     prev = -1
-    bounds = []
     while pos < spec.length:
         c = int(rng.integers(0, spec.num_classes))
         while c == prev:
@@ -249,12 +219,11 @@ def generate_synthetic(spec, seed):
         seg_len = int(rng.integers(spec.seg_len_min, spec.seg_len_max + 1))
         seg_len = min(seg_len, spec.length - pos)
         labels[pos : pos + seg_len] = c
-        bounds.append((pos, pos + seg_len))
         pos += seg_len
         prev = c
     data = means[labels].T.copy()
-    if spec.segment_jitter > 0:
-        for start, stop in bounds:
+    if spec.segment_jitter > 0:  # the runs are the drawn segments: no two adjacent share a class
+        for start, stop in zip(*segments_of(labels)[1:]):
             offset = rng.normal(0.0, spec.segment_jitter, size=spec.num_channels)
             data[:, start:stop] += offset[:, None]
     if spec.noise_sigma > 0:

@@ -126,6 +126,12 @@ class TrainConfig:
         return asdict(self)
 
 
+def learning_rate(config, epoch):
+    """The Adam step size of ``config``'s schedule once ``epoch`` epochs are
+    complete: ``lr``, times ``lr_factor`` every ``lr_period`` epochs."""
+    return config.lr * config.lr_factor ** (epoch // config.lr_period)
+
+
 @dataclass
 class TrainState:
     config: TrainConfig  # the config that last trained the state
@@ -135,7 +141,6 @@ class TrainState:
     adam_v: dict
     adam_t: int
     epoch: int  # completed epochs
-    lr: float
     rng_batch: np.random.Generator  # crop order
     rng_mine: np.random.Generator  # contrast-mining seeds
     best_f_m: float
@@ -155,7 +160,7 @@ def new_state(config):
     bank = PrototypeBank(config.net.num_classes, config.net.projector_dim)
     moments = [{k: np.zeros_like(v) for k, v in params.items()} for _ in range(2)]
     # positional, in field order
-    return TrainState(config, params, bank, *moments, 0, 0, config.lr,
+    return TrainState(config, params, bank, *moments, 0, 0,
                       np.random.default_rng(ss_batch), np.random.default_rng(ss_mine), -1.0, 0)
 
 
@@ -187,12 +192,11 @@ def mix_supervision(annotations, labels, fraction, seed):
     rng = np.random.default_rng(seed)
     supervised = np.full(len(labels), -1, dtype=np.int64)  # class per sample, -1 for none
     supervised[annotations.positions] = annotations.classes
-    for seg in segments_of(labels):
-        k = int(np.floor(fraction * seg.length))
+    for c, start, stop in zip(*segments_of(labels.labels)):
+        k = int(np.floor(fraction * (stop - start)))
         if k == 0:
             continue
-        picks = rng.choice(np.arange(seg.start, seg.end + 1), size=k, replace=False)
-        supervised[picks] = seg.class_index
+        supervised[rng.choice(np.arange(start, stop), size=k, replace=False)] = c
     positions = np.flatnonzero(supervised >= 0).astype(np.int64, copy=False)
     return positions, supervised[positions]
 
@@ -261,8 +265,8 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     """Run (or resume) training; returns the final state and per-epoch log
     records. Two runs with identical seeds and data produce identical logs.
 
-    A resumed ``state`` adopts ``config``, which must keep its ``net``,
-    ``seed`` and ``lr``: ``ValueError`` otherwise, or when ``train_set`` or
+    A resumed ``state`` adopts ``config``, which must keep its ``net`` and
+    ``seed``: ``ValueError`` otherwise, or when ``train_set`` or
     ``val_set`` is empty. A non-finite loss raises ``NonFiniteLossError``;
     with a ``diag_dir`` the offending crop's diagnostics are first written
     there as an ``.npz``, without one none are written.
@@ -273,7 +277,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         raise ValueError("val_set is empty")
     if state is None:
         state = new_state(config)
-    for name in ("net", "seed", "lr"):  # new_state consumed them
+    for name in ("net", "seed"):  # new_state consumed them
         if getattr(config, name) != getattr(state.config, name):
             raise ValueError(f"a resumed run cannot change {name}")
     state.config = config
@@ -307,8 +311,6 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             for key in LOSS_KEYS:
                 totals[key] += parts_mean[key]
 
-        if (epoch + 1) % config.lr_period == 0:
-            state.lr *= config.lr_factor
         state.epoch = epoch + 1
 
         report = evaluate(state, val_set)
@@ -316,7 +318,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             state.best_f_m = report.f_m
             state.best_epoch = state.epoch
 
-        record = {"epoch": state.epoch, "phase": phase, "lr": state.lr}
+        record = {"epoch": state.epoch, "phase": phase, "lr": learning_rate(config, state.epoch)}
         record.update((f"loss_{key}", totals[key] / len(starts)) for key in LOSS_KEYS)
         record.update(
             val_acc=report.acc, val_f_m=report.f_m, val_ji=report.ji,
@@ -445,12 +447,13 @@ def _crop_objective(crop, outputs, state, y_tilde):
 def _adam_step(state, grads):
     state.adam_t += 1
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.adam_t
+    lr = learning_rate(state.config, state.epoch)
     for k, g in grads.items():
         state.adam_m[k] = b1 * state.adam_m[k] + (1 - b1) * g
         state.adam_v[k] = b2 * state.adam_v[k] + (1 - b2) * g * g
         m_hat = state.adam_m[k] / (1 - b1 ** t)
         v_hat = state.adam_v[k] / (1 - b2 ** t)
-        state.params[k] = state.params[k] - state.lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.params[k] = state.params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
@@ -516,7 +519,6 @@ CHECKPOINT_FIELDS = (
     ("bank.", "bank", lambda bank: {"p": bank.p, "initialized": bank.initialized}, _bank),
     ("adam_t", "adam_t", _as_is, _as_is),
     ("epoch", "epoch", _as_is, _as_is),
-    ("lr", "lr", _as_is, _as_is),
     ("rng_batch_state", "rng_batch", lambda rng: rng.bit_generator.state, _generator),
     ("rng_mine_state", "rng_mine", lambda rng: rng.bit_generator.state, _generator),
     ("best_f_m", "best_f_m", _as_is, _as_is),

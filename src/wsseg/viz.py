@@ -40,13 +40,13 @@ def segmentation_ribbon_svg(rows, num_classes):
         parts.append(
             f'<text x="2" y="{y + band_height * 0.65:.1f}">{name}</text>'
         )
-        for seg in segments_of(DenseLabels(labels, num_classes)):
-            x0 = label_w + seg.start / t_len * width
-            x1 = label_w + (seg.end + 1) / t_len * width
+        for c, start, stop in zip(*segments_of(DenseLabels(labels, num_classes).labels)):
+            x0 = label_w + start / t_len * width
+            x1 = label_w + stop / t_len * width
             parts.append(
                 f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}"'
-                f' height="{band_height}" fill="{class_color(seg.class_index, num_classes)}">'
-                f"<title>class {seg.class_index} [{seg.start},{seg.end}]</title></rect>"
+                f' height="{band_height}" fill="{class_color(c, num_classes)}">'
+                f"<title>class {c} [{start},{stop - 1}]</title></rect>"
             )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -164,13 +164,13 @@ def mix_supervision_loop(annotations, labels, fraction, seed):
         return annotations.positions.copy(), annotations.classes.copy()
     rng = np.random.default_rng(seed)
     chosen = {int(p): int(c) for p, c in zip(annotations.positions, annotations.classes)}
-    for seg in segments_of(labels):
-        k = int(np.floor(fraction * seg.length))
+    for c, start, stop in zip(*segments_of(labels.labels)):
+        k = int(np.floor(fraction * (stop - start)))
         if k == 0:
             continue
-        picks = rng.choice(np.arange(seg.start, seg.end + 1), size=k, replace=False)
+        picks = rng.choice(np.arange(start, stop), size=k, replace=False)
         for p in picks:
-            chosen[int(p)] = seg.class_index
+            chosen[int(p)] = int(c)
     positions = np.array(sorted(chosen), dtype=np.int64)
     classes = np.array([chosen[int(p)] for p in positions], dtype=np.int64)
     return positions, classes

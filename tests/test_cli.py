@@ -243,13 +243,15 @@ def _drop_num_channels(text):
     return json.dumps(meta)
 
 
-# (file to corrupt, corruption); a sequence CSV is corrupted in every split
+# (file to corrupt, corruption of its text or None to make it a directory);
+# a sequence CSV is corrupted in every split
 DATA_FAULTS = {
     "non-numeric-channel": ("seq_000.csv", lambda text: text + "abc,1.0,0\n"),
     "label-out-of-range": ("seq_000.csv", lambda text: text + "0.5,0.5,7\n"),
     "row-without-label": ("seq_000.csv", lambda text: text + "0.5,0.5\n"),
     "meta-not-json": ("meta.json", lambda text: "{not json"),
     "meta-without-num-channels": ("meta.json", _drop_num_channels),
+    "csv-is-a-directory": ("zz.csv", None),
 }
 
 
@@ -267,7 +269,10 @@ def test_unreadable_dataset_is_a_data_error(pipeline, tmp_path, capsys, command,
         targets = [data / s / name for s in ("train", "val", "test")]
         named = str(data / split / name)
     for path in targets:
-        path.write_text(corrupt(path.read_text()))
+        if corrupt is None:
+            path.mkdir()
+        else:
+            path.write_text(corrupt(path.read_text()))
     if command == "eval":
         argv = ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data / split)]
     else:
@@ -309,6 +314,14 @@ def test_report_aggregates_runs(pipeline, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["run", "acc", "f_m", "ji", "iou", "o_u"]
     assert len(rows) == 2
+
+
+def test_report_names_a_missing_metric(tmp_path, capsys):
+    argv = _report_argv(tmp_path, REPORT.replace("f_m,0.5\n", ""))
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(tmp_path / "run" / "eval_report.csv") in err and "no f_m metric" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_deterministic(tmp_path):
@@ -419,6 +432,9 @@ def _train_argv(tmp_path, data, config, *extra):
             "--out", str(tmp_path / "out"), *extra]
 
 
+REPORT = "metric,value\nacc,0.5\nf_m,0.5\nji,0.5\niou,0.5\no_u,0.5\n"  # all five metrics
+
+
 def _report_argv(tmp_path, text):
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "eval_report.csv").write_text(text)
@@ -472,6 +488,8 @@ MALFORMED = {
     "report-non-numeric": (EXIT_DATA, lambda t, d, c: _report_argv(
         t, "metric,value\nacc,0.5\nf_m,abc\n")),
     "report-one-column": (EXIT_DATA, lambda t, d, c: _report_argv(t, "metric,value\nacc\n")),
+    "report-missing-metric": (EXIT_DATA, lambda t, d, c: _report_argv(
+        t, REPORT.replace("f_m,0.5\n", ""))),
     "synth-out-is-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
         _synth_argv(t, CONFIG), _blocker(t))),
     "train-out-under-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
@@ -479,7 +497,7 @@ MALFORMED = {
     "eval-out-is-a-file": (EXIT_USAGE, lambda t, d, c: [
         "eval", "--checkpoint", str(c), "--data", str(d / "test"), "--out", _blocker(t)]),
     "report-out-under-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
-        _report_argv(t, "metric,value\nacc,0.5\n"), _blocker(t, "summary.csv"))),
+        _report_argv(t, REPORT), _blocker(t, "summary.csv"))),
 }
 
 

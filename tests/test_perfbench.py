@@ -1,7 +1,10 @@
 """The benchmark's stand-alone checks still import and pass against the
-package, and its tracer finds every function it wraps: each fails loudly
-if a name it reads from ``wsseg`` goes away."""
+package, its tracer finds every function it wraps, and a short untraced
+run of each workload passes its own output checks: each fails loudly if a
+name it reads from ``wsseg`` goes away or a benchmark check fails."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,19 @@ def test_perfbench_script_exits_zero(script):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("workload", ["train-timestamp", "train-pseudo", "infer"])
+def test_perfbench_workload_passes_its_checks(workload):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seconds", "0.1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, out.stdout
 
 
 def test_tracer_finds_every_wrapped_name(monkeypatch):

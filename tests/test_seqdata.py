@@ -7,10 +7,7 @@ import pytest
 
 from wsseg.seqdata import (
     DenseLabels,
-    EmptyInputError,
     LabeledSequence,
-    ParseError,
-    SchemaError,
     SensorSequence,
     SyntheticSpec,
     TimestampAnnotations,
@@ -44,21 +41,21 @@ def test_load_sequence_header_and_labels(tmp_path):
 def test_load_sequence_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no samples")):
         load_sequence(path, 2, 3)
 
 
 def test_load_sequence_nan_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,0\nnan,4.0,1\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2: non-finite channel value"):
         load_sequence(path, 2, 3)
 
 
 def test_load_sequence_schema_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,3.0,4.0\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError, match="line 1: expected 2 channels and a label, got 4 fields"):
         load_sequence(path, 2, 3)
 
 
@@ -68,7 +65,7 @@ def test_load_sequence_row_without_label_names_line(tmp_path, text):
     path = tmp_path / "unlabelled.csv"
     path.write_text(text)
     line = 3 if text.startswith("ch0") else 1
-    with pytest.raises(SchemaError, match=re.escape(f"{path}: line {line}: ") + ".*label"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ") + ".*label"):
         load_sequence(path, 2, 3)
 
 
@@ -101,17 +98,29 @@ def test_labeled_sequence_needs_one_label_per_sample(rng, count):
     ],
 )
 def test_segments_of_runs(labels, expected):
-    segs = segments_of(DenseLabels(np.array(labels), 2))
-    assert [(s.class_index, s.start, s.end) for s in segs] == expected
+    runs = segments_of(np.array(labels))
+    assert all(a.dtype == np.int64 for a in runs)
+    # expected holds inclusive ends
+    assert [(c, start, stop - 1) for c, start, stop in zip(*runs)] == expected
 
 
 def test_segments_reconstruct_labels(rng):
     for _ in range(50):
-        labels = DenseLabels(rng.integers(0, 3, size=rng.integers(1, 40)), 3)
-        rebuilt = np.concatenate(
-            [[s.class_index] * s.length for s in segments_of(labels)]
-        )
-        np.testing.assert_array_equal(rebuilt, labels.labels)
+        labels = rng.integers(0, 3, size=rng.integers(1, 40))
+        classes, starts, stops = segments_of(labels)
+        np.testing.assert_array_equal(np.repeat(classes, stops - starts), labels)
+
+
+def test_segments_of_tile_the_sequence(rng):
+    for _ in range(200):
+        t_len = int(rng.integers(1, 61))
+        labels = rng.integers(0, rng.integers(1, 5), size=t_len)
+        classes, starts, stops = segments_of(labels)
+        assert starts[0] == 0 and stops[-1] == t_len
+        np.testing.assert_array_equal(starts[1:], stops[:-1])
+        assert np.all(stops > starts)
+        np.testing.assert_array_equal(labels[starts], classes)
+        assert np.all(classes[1:] != classes[:-1])
 
 
 def test_sample_timestamps_containment():
@@ -139,7 +148,7 @@ def test_sample_timestamps_class_consistency(rng):
     for seed in range(20):
         labels = DenseLabels(rng.integers(0, 3, size=60), 3)
         ann = sample_timestamps(labels, seed)
-        assert len(ann) == len(segments_of(labels)) <= len(labels)
+        assert len(ann) == len(segments_of(labels.labels)[0]) <= len(labels)
         np.testing.assert_array_equal(labels.labels[ann.positions], ann.classes)
 
 
@@ -188,9 +197,22 @@ def test_spec_rejects_a_value_of_the_wrong_type(name, value):
 
 def test_generate_synthetic_zero_noise_piecewise_constant():
     seq, labels = generate_synthetic(_spec(noise_sigma=0.0), 5)
-    for seg in segments_of(labels):
-        block = seq.data[:, seg.start : seg.end + 1]
-        np.testing.assert_array_equal(block, np.repeat(block[:, :1], seg.length, axis=1))
+    for _, start, stop in zip(*segments_of(labels.labels)):
+        block = seq.data[:, start:stop]
+        np.testing.assert_array_equal(block, np.repeat(block[:, :1], stop - start, axis=1))
+
+
+def test_generate_synthetic_jitter_is_constant_within_each_run():
+    seq, labels = generate_synthetic(_spec(noise_sigma=0.0, segment_jitter=0.7, length=200), 5)
+    classes, starts, stops = segments_of(labels.labels)
+    for start, stop in zip(starts, stops):
+        block = seq.data[:, start:stop]
+        np.testing.assert_array_equal(block, np.repeat(block[:, :1], stop - start, axis=1))
+    # each run draws its own offset, so no two runs of one class share a level
+    levels = seq.data[:, starts]
+    for c in np.unique(classes):
+        runs = levels[:, classes == c]
+        assert np.unique(runs, axis=1).shape[1] == runs.shape[1]
 
 
 def test_generate_synthetic_deterministic():
@@ -202,12 +224,13 @@ def test_generate_synthetic_deterministic():
 
 def test_generate_synthetic_constant_segment_length():
     _, labels = generate_synthetic(_spec(seg_len_min=7, seg_len_max=7, length=40), 3)
-    lengths = [s.length for s in segments_of(labels)]
+    _, starts, stops = segments_of(labels.labels)
+    lengths = (stops - starts).tolist()
     assert lengths[:-1] == [7] * (len(lengths) - 1)
     assert lengths[-1] <= 7
 
 
 def test_generate_synthetic_consecutive_segments_differ():
     _, labels = generate_synthetic(_spec(length=200), 11)
-    segs = segments_of(labels)
-    assert all(a.class_index != b.class_index for a, b in zip(segs, segs[1:]))
+    classes = segments_of(labels.labels)[0]
+    assert np.all(classes[1:] != classes[:-1])

@@ -208,7 +208,7 @@ def test_checkpoint_round_trips_every_field(tmp_path):
     assert loaded.config.proto_momentum == state.config.proto_momentum
     for name in ("rng_batch", "rng_mine"):
         assert getattr(loaded, name).bit_generator.state == getattr(state, name).bit_generator.state
-    for name in ("config", "adam_t", "epoch", "lr", "best_f_m", "best_epoch"):
+    for name in ("config", "adam_t", "epoch", "best_f_m", "best_epoch"):
         assert getattr(loaded, name) == getattr(state, name)
     # the generators carry on where the saved ones would have
     assert loaded.rng_batch.integers(2 ** 63) == state.rng_batch.integers(2 ** 63)
@@ -255,10 +255,10 @@ def test_mix_supervision_counts(rng):
     pos, cls = mix_supervision(ann, labels, 0.5, seed=11)
     # every segment has 10 samples: 5 promoted each, plus timestamps (which
     # may or may not coincide with promoted picks)
-    for seg in segments_of(labels):
-        inside = (pos >= seg.start) & (pos <= seg.end)
+    for c, start, stop in zip(*segments_of(labels.labels)):
+        inside = (pos >= start) & (pos < stop)
         assert 5 <= inside.sum() <= 6
-        np.testing.assert_array_equal(cls[inside], seg.class_index)
+        np.testing.assert_array_equal(cls[inside], c)
 
 
 def test_mix_supervision_extremes():
@@ -345,8 +345,9 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     np.testing.assert_array_equal(state_cont.bank.p, state_full.bank.p)
 
 
-def test_checkpoint_with_a_stored_epochs_since_best_resumes(tmp_path):
-    # checkpoints written before the count was derived from the epochs carry it
+def _resume_with_stored(tmp_path, stored):
+    """Logs of an unbroken run, and of the same run resumed from a
+    checkpoint whose meta also holds ``stored(state)``."""
     data = _corpus(3, seed=2)
     config = _config(epochs_max=3, epochs_init=1)
     _, logs_full = train(data, data[:1], config)
@@ -356,11 +357,25 @@ def test_checkpoint_with_a_stored_epochs_since_best_resumes(tmp_path):
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays["meta"]))
-    meta["epochs_since_best"] = half.epoch - half.best_epoch
+    meta.update(stored(half))
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
     _, logs_cont = train(data, data[:1], config, state=load_checkpoint(path))
-    assert logs_half + logs_cont == logs_full
+    return logs_full, logs_half + logs_cont
+
+
+def test_checkpoint_with_a_stored_epochs_since_best_resumes(tmp_path):
+    # checkpoints written before the count was derived from the epochs carry it
+    full, resumed = _resume_with_stored(
+        tmp_path, lambda state: {"epochs_since_best": state.epoch - state.best_epoch})
+    assert resumed == full
+
+
+def test_checkpoint_with_a_stored_lr_resumes(tmp_path):
+    # checkpoints written before the rate was derived from the epoch carry it;
+    # a stale value is ignored
+    full, resumed = _resume_with_stored(tmp_path, lambda state: {"lr": 0.5})
+    assert resumed == full
 
 
 def test_resume_adopts_the_new_config(tmp_path):
@@ -376,7 +391,7 @@ def test_resume_adopts_the_new_config(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("net", dataclasses.replace(_config().net, feature_dim=6)), ("seed", 8), ("lr", 0.002),
+    ("net", dataclasses.replace(_config().net, feature_dim=6)), ("seed", 8),
 ])
 def test_resume_rejects_a_setting_the_state_was_built_with(name, value):
     data = _corpus(2, seed=1)
@@ -387,6 +402,21 @@ def test_resume_rejects_a_setting_the_state_was_built_with(name, value):
     assert state.config == _config() and state.epoch == 0
     for key in params:
         np.testing.assert_array_equal(state.params[key], params[key])
+
+
+def test_lr_change_takes_effect_on_resume():
+    data = _corpus(3, seed=3)
+    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1))
+    moved = {}
+    for lr in (0.001, 0.004):
+        # one batch per epoch: one Adam step, from the same gradient in both runs
+        config = _config(epochs_max=2, epochs_init=2, lr=lr, batch_size=64)
+        resumed, logs = train(data, data[:1], config, state=copy.deepcopy(state))
+        assert logs[0]["lr"] == lr and resumed.adam_t == state.adam_t + 1
+        moved[lr] = {k: resumed.params[k] - state.params[k] for k in state.params}
+    for k in state.params:
+        assert np.any(moved[0.001][k] != 0.0)
+        np.testing.assert_allclose(moved[0.004][k], 4.0 * moved[0.001][k], rtol=1e-9, atol=1e-15)
 
 
 def test_proto_momentum_change_takes_effect_on_resume():
