@@ -19,7 +19,7 @@ import numpy as np
 from . import net as net_mod
 from . import trainer as trainer_mod
 from .cam import compute_cams
-from .metrics import evaluate_many
+from .metrics import SCORES, evaluate_many
 from .seqdata import (
     LabeledSequence,
     SyntheticSpec,
@@ -243,15 +243,14 @@ def cmd_train(args):
     state, logs = trainer_mod.train(train_set, val_set, config, diag_dir=args.out)
     save_checkpoint(state, os.path.join(args.out, "checkpoint.npz"))
     write_log_csv(os.path.join(args.out, "train_log.csv"), logs)
-    print(f"trained {state.epoch} epochs; best val F_m {state.best_f_m:.4f}"
-          f" at epoch {state.best_epoch}")
+    best = f"; best val F_m {state.best_f_m:.4f} at epoch {state.best_epoch}" if logs else ""
+    print(f"trained {state.epoch} epochs{best}")
 
 
 def write_log_csv(path, logs):
-    if not logs:
-        return
+    """The train log: a ``trainer.LOG_COLUMNS`` header, then one row per record."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(logs[0]))
+        writer = csv.DictWriter(fh, fieldnames=trainer_mod.LOG_COLUMNS)
         writer.writeheader()
         writer.writerows(logs)
 
@@ -296,8 +295,7 @@ def cmd_eval(args):
         )
         with open(os.path.join(args.out, f"ribbon_{item.sequence.id}.svg"), "w") as fh:
             fh.write(svg)
-    print(f"acc={report.acc:.4f} f_m={report.f_m:.4f} ji={report.ji:.4f}"
-          f" iou={report.iou:.4f} o_u={report.o_u:.4f}")
+    print(" ".join(f"{k}={v:.4f}" for k, v in report.as_row().items()))
 
 
 def cmd_pseudo(args):
@@ -328,14 +326,13 @@ def cmd_cams(args):
 
 
 def cmd_report(args):
-    keys = ["acc", "f_m", "ji", "iou", "o_u"]
     rows = []
     for run in args.runs:  # every report is read and checked before anything is written
         path = _require(os.path.join(run, "eval_report.csv"), "eval report")
         try:
             with open(path, newline="") as fh:
                 metrics = dict(csv.reader(fh))  # ValueError unless every row has two cells
-            values = [float(metrics[k]) for k in keys]
+            values = [float(metrics[k]) for k in SCORES]
         except KeyError as exc:
             raise CliError(EXIT_DATA, f"eval report {path} has no {exc.args[0]} metric")
         except (OSError, ValueError, csv.Error) as exc:
@@ -347,11 +344,11 @@ def cmd_report(args):
         raise CliError(EXIT_USAGE, f"cannot write report {args.out}: {exc.strerror}")
     with out as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run"] + keys)
+        writer.writerow(["run"] + list(SCORES))
         for name, metrics, _ in rows:
-            writer.writerow([name] + [metrics[k] for k in keys])
+            writer.writerow([name] + [metrics[k] for k in SCORES])
     width = max(len(name) for name, _, _ in rows)
-    print(f"{'run'.ljust(width)}  " + "  ".join(f"{k:>8}" for k in keys))
+    print(f"{'run'.ljust(width)}  " + "  ".join(f"{k:>8}" for k in SCORES))
     for name, _, values in rows:
         print(f"{name.ljust(width)}  " + "  ".join(f"{v:8.4f}" for v in values))
 

@@ -34,6 +34,12 @@ class LossWeights:
         if self.tau_trunc <= 0 or self.tau_contrast <= 0:
             raise ValueError("thresholds must be positive")
 
+    def weight(self, term):
+        """The weight in the objective of ``term``, a ``trainer.LOSS_KEYS``
+        entry: a lambda for L_con, L_s and L_conf, 1.0 for any other term."""
+        return {"con": self.lambda_con, "smooth": self.lambda_s,
+                "conf": self.lambda_conf}.get(term, 1.0)
+
 
 def l_seg_timestamps(y_prob, positions, classes):
     """Mean cross-entropy over the annotated positions."""
@@ -142,11 +148,10 @@ def combined(parts, weights):
 
         L_cls + L_seg + L_segall + lcon*L_con + (ls*L_s + lconf*L_conf),
 
-    summed in that order. A term absent from ``parts`` counts as 0.0, so
-    the caller decides the objective by the terms it computes: phase 1
-    runs L_seg, phase 2 L_segall, and L_cls and L_con run only with
-    prototypes.
+    summed in that order, each term times ``weights.weight``. A term absent
+    from ``parts`` counts as 0.0, so the caller decides the objective by the
+    terms it computes: phase 1 runs L_seg, phase 2 L_segall, and L_cls and
+    L_con run only with prototypes.
     """
-    get = lambda key: float(parts.get(key, 0.0))
-    tail = weights.lambda_s * get("smooth") + weights.lambda_conf * get("conf")
-    return get("cls") + get("seg") + get("segall") + weights.lambda_con * get("con") + tail
+    get = lambda key: weights.weight(key) * float(parts.get(key, 0.0))
+    return get("cls") + get("seg") + get("segall") + get("con") + (get("smooth") + get("conf"))

@@ -28,6 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The five scores of a report, in the order of every row, log and table of them.
+SCORES = ("acc", "f_m", "ji", "iou", "o_u")
+
 
 @dataclass
 class EvalReport:
@@ -41,13 +44,7 @@ class EvalReport:
     num_classes: int
 
     def as_row(self):
-        return {
-            "acc": self.acc,
-            "f_m": self.f_m,
-            "ji": self.ji,
-            "iou": self.iou,
-            "o_u": self.o_u,
-        }
+        return {k: getattr(self, k) for k in SCORES}
 
 
 def _check_pair(pred, truth, num_classes):

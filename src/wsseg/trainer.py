@@ -28,7 +28,7 @@ from . import losses as losses_mod
 from . import net as net_mod
 from . import otrans as otrans_mod
 from . import pseudo as pseudo_mod
-from .metrics import evaluate_many
+from .metrics import SCORES, evaluate_many
 from .net import TcnConfig, check_fields
 from .losses import LossWeights
 from .proto import PrototypeBank, estimate_prototype, update_bank
@@ -49,6 +49,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # (``loss_<key>``). Every sum of them starts at 0.0 for each key, so a term
 # that did not run adds 0.0 and logs 0.0.
 LOSS_KEYS = ("total", "seg", "segall", "cls", "con", "smooth", "conf")
+
+# The train log's columns, in order: the keys of each epoch's record.
+LOG_COLUMNS = ("epoch", "phase", "lr", *(f"loss_{key}" for key in LOSS_KEYS),
+               *(f"val_{key}" for key in SCORES))
 
 # Retired config keys and the one value each could still hold: older
 # checkpoints and configs carry them, and from_dict drops them.
@@ -176,19 +180,22 @@ class _Crop:
     seq_idx: int
     start: int
     stop: int  # exclusive
-    ann: TimestampAnnotations  # rebased to the crop
-    aug_positions: np.ndarray  # phase-1 supervision positions (rebased)
-    aug_classes: np.ndarray
+    ann: TimestampAnnotations  # the timestamps in the crop, rebased to it
+    supervised: TimestampAnnotations  # the mix_supervision samples in the crop, rebased
     multilabel: np.ndarray
 
 
+def _rebase(ann, start, stop):
+    """The annotations of ``ann`` in ``[start, stop)``, counted from ``start``."""
+    inside = (ann.positions >= start) & (ann.positions < stop)
+    return TimestampAnnotations(ann.positions[inside] - start, ann.classes[inside])
+
+
 def mix_supervision(annotations, labels, fraction, seed):
-    """Promote floor(fraction * length) uniformly chosen samples of every
-    segment to ground-truth supervision; returns the augmented
-    (positions, classes) arrays including the original timestamps.
-    ``fraction`` is ``TrainConfig.mixed_fraction``, checked in [0, 1] there."""
-    if fraction == 0.0:  # nothing to promote, so no segments to walk
-        return annotations.positions.copy(), annotations.classes.copy()
+    """Every supervised sample of a sequence: its timestamps, and
+    floor(fraction * length) uniformly chosen samples of every segment,
+    promoted to ground truth. ``fraction`` is ``TrainConfig.mixed_fraction``,
+    checked in [0, 1] there; at 0 nothing is drawn and the timestamps return."""
     rng = np.random.default_rng(seed)
     supervised = np.full(len(labels), -1, dtype=np.int64)  # class per sample, -1 for none
     supervised[annotations.positions] = annotations.classes
@@ -197,8 +204,8 @@ def mix_supervision(annotations, labels, fraction, seed):
         if k == 0:
             continue
         supervised[rng.choice(np.arange(start, stop), size=k, replace=False)] = c
-    positions = np.flatnonzero(supervised >= 0).astype(np.int64, copy=False)
-    return positions, supervised[positions]
+    positions = np.flatnonzero(supervised >= 0)
+    return TimestampAnnotations(positions, supervised[positions])
 
 
 def make_crops(t_len, annotations, crop_len):
@@ -216,21 +223,6 @@ def make_crops(t_len, annotations, crop_len):
             start = mid
     cuts.append((start, t_len))
     return cuts
-
-
-def _crop_views(seq_idx, start, stop, ann, aug_pos, aug_cls, num_classes):
-    inside = (ann.positions >= start) & (ann.positions < stop)
-    crop_ann = TimestampAnnotations(ann.positions[inside] - start, ann.classes[inside])
-    a_in = (aug_pos >= start) & (aug_pos < stop)
-    return _Crop(
-        seq_idx=seq_idx,
-        start=start,
-        stop=stop,
-        ann=crop_ann,
-        aug_positions=aug_pos[a_in] - start,
-        aug_classes=aug_cls[a_in],
-        multilabel=sequence_multilabel(crop_ann, num_classes),
-    )
 
 
 def generate_pseudo_for_sequence(data, annotations, state):
@@ -284,13 +276,14 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     c = config.net.num_classes
     annotations = training_annotations(train_set, config.seed)
     mix_rng = np.random.default_rng(_streams(config.seed)[2])
-    aug = [mix_supervision(ann, item.labels, config.mixed_fraction, int(mix_rng.integers(2 ** 63)))
-           for item, ann in zip(train_set, annotations)]
-
-    crops = []
+    supervised, crops = [], []
     for idx, (item, ann) in enumerate(zip(train_set, annotations)):
+        supervised.append(mix_supervision(ann, item.labels, config.mixed_fraction,
+                                          int(mix_rng.integers(2 ** 63))))
         for start, stop in make_crops(item.sequence.num_samples, ann, config.crop_len):
-            crops.append(_crop_views(idx, start, stop, ann, aug[idx][0], aug[idx][1], c))
+            crop_ann = _rebase(ann, start, stop)
+            crops.append(_Crop(idx, start, stop, crop_ann, _rebase(supervised[idx], start, stop),
+                               sequence_multilabel(crop_ann, c)))
 
     logs = []
     for epoch in range(state.epoch, config.epochs_max):
@@ -299,7 +292,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
         phase = "pseudo" if epoch >= config.epochs_init else (
             "timestamp" if config.use_prototypes else "warmup"
         )
-        targets = (_regenerate_pseudo(train_set, annotations, aug, state) if phase == "pseudo"
+        targets = (_regenerate_pseudo(train_set, annotations, supervised, state) if phase == "pseudo"
                    else [None] * len(train_set))  # None: the sequence keeps L_seg
 
         order = state.rng_batch.permutation(len(crops))
@@ -318,30 +311,26 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             state.best_f_m = report.f_m
             state.best_epoch = state.epoch
 
-        record = {"epoch": state.epoch, "phase": phase, "lr": learning_rate(config, state.epoch)}
-        record.update((f"loss_{key}", totals[key] / len(starts)) for key in LOSS_KEYS)
-        record.update(
-            val_acc=report.acc, val_f_m=report.f_m, val_ji=report.ji,
-            val_iou=report.iou, val_o_u=report.o_u,
-        )
-        logs.append(record)
+        row = (state.epoch, phase, learning_rate(config, state.epoch),
+               *(totals[key] / len(starts) for key in LOSS_KEYS), *report.as_row().values())
+        logs.append(dict(zip(LOG_COLUMNS, row, strict=True)))
     return state, logs
 
 
-def _regenerate_pseudo(train_set, annotations, aug, state):
+def _regenerate_pseudo(train_set, annotations, supervised, state):
     """One phase-2 target per training sequence: its dense pseudo-labels,
     one-hot at every ``mix_supervision`` sample, or None where the sequence
     keeps L_seg."""
     targets = []
     unconverged = solved = 0
-    for item, ann, (pos, cls) in zip(train_set, annotations, aug):
+    for item, ann, sup in zip(train_set, annotations, supervised):
         labels, plan, _ = generate_pseudo_for_sequence(item.sequence.data, ann, state)
         if plan is not None:
             solved += 1
             unconverged += not plan.converged
         if labels is not None:
-            labels.y[:, pos] = 0.0
-            labels.y[cls, pos] = 1.0
+            labels.y[:, sup.positions] = 0.0
+            labels.y[sup.classes, sup.positions] = 1.0
         targets.append(None if labels is None else labels.y)
     if unconverged:
         warnings.warn(
@@ -392,24 +381,23 @@ def _crop_objective(crop, outputs, state, y_tilde):
     dy = [np.zeros_like(p) for p in outputs.y_prob]
     for s, y in enumerate(outputs.y_prob):
         if y_tilde is not None:
-            terms = [("segall", 1.0, losses_mod.l_seg_all(y, y_tilde))]
+            terms = [("segall", losses_mod.l_seg_all(y, y_tilde))]
         else:
-            terms = [("seg", 1.0, losses_mod.l_seg_timestamps(
-                y, crop.aug_positions, crop.aug_classes
+            terms = [("seg", losses_mod.l_seg_timestamps(
+                y, crop.supervised.positions, crop.supervised.classes
             ))]
-        if weights.lambda_s > 0 and y.shape[1] >= 2:
-            terms.append(("smooth", weights.lambda_s, losses_mod.l_smooth(y, weights.tau_trunc)))
-        if weights.lambda_conf > 0 and len(crop.ann) >= 2:
-            terms.append(("conf", weights.lambda_conf, losses_mod.l_conf(
-                y, crop.ann.positions, crop.ann.classes
-            )))
-        for key, w, (val, g) in terms:
+        if weights.weight("smooth") > 0 and y.shape[1] >= 2:
+            terms.append(("smooth", losses_mod.l_smooth(y, weights.tau_trunc)))
+        if weights.weight("conf") > 0 and len(crop.ann) >= 2:
+            terms.append(("conf", losses_mod.l_conf(y, crop.ann.positions, crop.ann.classes)))
+        for key, (val, g) in terms:
             parts[key] += val / stages
-            dy[s] += w * g / stages
+            dy[s] += weights.weight(key) * g / stages
 
     dy_s_logits = dv = None
     if config.use_prototypes:
-        parts["cls"], dy_s_logits = losses_mod.l_cls(outputs.y_s_logits, crop.multilabel)
+        parts["cls"], d_logits = losses_mod.l_cls(outputs.y_s_logits, crop.multilabel)
+        dy_s_logits = weights.weight("cls") * d_logits
 
         cams = cam_mod.compute_cams(outputs.z, params["ml.w"])
         mask_classes = cam_mod.pseudo_mask(cams)
@@ -424,7 +412,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
             if est is not None:
                 update_bank(state.bank, cls_idx, est, config.proto_momentum)
 
-        if weights.lambda_con > 0:
+        if weights.weight("con") > 0:
             mined = contrast_mod.mine_pairs(
                 vn,
                 mask_classes,
@@ -438,7 +426,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 parts["con"], d_vn = contrast_mod.info_nce(
                     mined, vn, state.bank, weights.tau_contrast
                 )
-                dv = net_mod.l2_normalize_backward(weights.lambda_con * d_vn, vn, norms)
+                dv = net_mod.l2_normalize_backward(weights.weight("con") * d_vn, vn, norms)
 
     parts["total"] = losses_mod.combined(parts, weights)
     return parts, net_mod.OutputGrads(dz=None, dy_prob=dy, dy_s_logits=dy_s_logits, dv=dv)
@@ -551,10 +539,22 @@ def save_checkpoint(state, path):
 
 
 def load_checkpoint(path):
+    """The state saved at ``path``. ``ValueError`` names the first array
+    that is missing, extra or of another shape than its own config needs."""
     with np.load(path, allow_pickle=False) as npz:
         meta = json.loads(str(npz["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        net = TcnConfig(**meta["config"]["net"])
+        want = {key + k: v.shape for key in ("param.", "adam_m.", "adam_v.")
+                for k, v in net_mod.init_params(net, 0).items()}
+        want.update({"bank.p": (net.num_classes, net.projector_dim), "meta": (),
+                     "bank.initialized": (net.num_classes,)})
+        for key in sorted(want.keys() | set(npz.files)):
+            shape = npz[key].shape if key in npz.files else None
+            if shape != want.get(key):
+                raise ValueError(f"checkpoint array {key} has shape {shape}, its config"
+                                 f" needs {want.get(key)}")
         fields = {}
         for key, name, _, decode in CHECKPOINT_FIELDS:
             if key.endswith("."):

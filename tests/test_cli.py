@@ -457,6 +457,16 @@ def _with_out(argv, out):
     return argv
 
 
+def _edited_checkpoint(tmp_path, checkpoint, edit, command, split):
+    """``command`` on ``split`` with a copy of ``checkpoint`` whose arrays ``edit`` changed."""
+    with np.load(checkpoint) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    np.savez(tmp_path / "edited.npz", **arrays)
+    return [command, "--checkpoint", str(tmp_path / "edited.npz"), "--data", str(split),
+            "--out", str(tmp_path / "out")]
+
+
 # malformed input: (exit code, argv(tmp_path, dataset root, checkpoint path))
 MALFORMED = {
     "top-level-list": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, [1])),
@@ -498,6 +508,13 @@ MALFORMED = {
         "eval", "--checkpoint", str(c), "--data", str(d / "test"), "--out", _blocker(t)]),
     "report-out-under-a-file": (EXIT_USAGE, lambda t, d, c: _with_out(
         _report_argv(t, REPORT), _blocker(t, "summary.csv"))),
+    "checkpoint-narrow-kernel": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, lambda a: a.update({"param.s0.l1.wd": a["param.s0.l1.wd"][..., :1]}),
+        "eval", d / "test")),
+    "checkpoint-missing-array": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, lambda a: a.pop("param.s0.l1.wd"), "eval", d / "test")),
+    "checkpoint-short-bank": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, lambda a: a.update({"bank.p": a["bank.p"][:2]}), "pseudo", d / "train")),
 }
 
 
@@ -516,3 +533,12 @@ def test_malformed_input_has_its_exit_code(pipeline, tmp_path, capsys, case):
     if blocker.exists():  # an --out that cannot be created is named, and nothing replaces it
         assert argv[argv.index("--out") + 1] in err
         assert blocker.read_text() == BLOCKER
+
+
+def test_zero_epoch_train_writes_the_log_header_alone(pipeline, tmp_path, capsys):
+    _, _, data, _, _ = pipeline
+    train = dict(CONFIG["train"], epochs_max=0, epochs_init=0)
+    assert main(_train_argv(tmp_path, data, {"train": train})) == 0
+    log = (tmp_path / "out" / "train_log.csv").read_text()
+    assert log.splitlines() == [",".join(trainer_mod.LOG_COLUMNS)]
+    assert capsys.readouterr().out == "trained 0 epochs\n"  # no best-validation clause

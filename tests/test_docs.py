@@ -9,7 +9,7 @@ from wsseg.cli import main
 from wsseg.losses import LossWeights
 from wsseg.net import TcnConfig
 from wsseg.seqdata import SyntheticSpec, generate_synthetic
-from wsseg.trainer import LabeledSequence, TrainConfig, train
+from wsseg.trainer import LOG_COLUMNS, LabeledSequence, TrainConfig, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,4 +55,4 @@ def test_readme_lists_the_train_log_columns():
     config = TrainConfig(net=net, epochs_max=1, epochs_init=1, batch_size=2, crop_len=120,
                          proto_k=4, anchor_count=8)
     _, logs = train(data, data[:1], config)
-    assert re.findall(r"`(\w+)`", listed.group(1)) == list(logs[0])
+    assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == LOG_COLUMNS == tuple(logs[0])

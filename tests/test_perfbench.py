@@ -1,6 +1,8 @@
 """The benchmark's stand-alone checks still import and pass against the
-package, its tracer finds every function it wraps, and a short untraced
-run of each workload passes its own output checks: each fails loudly if a
+package, its tracer finds every function it wraps, and a short traced run
+of each workload passes its own output checks. A traced run takes an
+untraced operation and then a traced one, so the check covers both and
+the tracer's counters read the outputs they wrap. Each fails loudly if a
 name it reads from ``wsseg`` goes away or a benchmark check fails."""
 
 import json
@@ -27,7 +29,7 @@ def test_perfbench_script_exits_zero(script):
 def test_perfbench_workload_passes_its_checks(workload):
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seconds", "0.1", "--trace", "0"],
+         "--seconds", "0.1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )

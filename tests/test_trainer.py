@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wsseg.losses import LossWeights
+from wsseg.metrics import SCORES
 from wsseg.net import TcnConfig
 from wsseg.seqdata import (
     DenseLabels,
@@ -252,7 +253,8 @@ def test_non_finite_loss_names_its_diagnostics(monkeypatch, tmp_path):
 def test_mix_supervision_counts(rng):
     labels = DenseLabels(np.repeat([0, 1, 2], 10), 3)
     ann = sample_timestamps(labels, 3)
-    pos, cls = mix_supervision(ann, labels, 0.5, seed=11)
+    mixed = mix_supervision(ann, labels, 0.5, seed=11)
+    pos, cls = mixed.positions, mixed.classes
     # every segment has 10 samples: 5 promoted each, plus timestamps (which
     # may or may not coincide with promoted picks)
     for c, start, stop in zip(*segments_of(labels.labels)):
@@ -264,13 +266,13 @@ def test_mix_supervision_counts(rng):
 def test_mix_supervision_extremes():
     labels = DenseLabels(np.repeat([0, 1], 12), 2)
     ann = sample_timestamps(labels, 1)
-    pos0, cls0 = mix_supervision(ann, labels, 0.0, seed=4)
-    np.testing.assert_array_equal(pos0, ann.positions)
-    np.testing.assert_array_equal(cls0, ann.classes)
-    assert pos0.dtype == cls0.dtype == np.int64
-    pos1, cls1 = mix_supervision(ann, labels, 1.0, seed=4)
-    np.testing.assert_array_equal(pos1, np.arange(24))
-    np.testing.assert_array_equal(cls1, labels.labels)
+    none = mix_supervision(ann, labels, 0.0, seed=4)
+    np.testing.assert_array_equal(none.positions, ann.positions)
+    np.testing.assert_array_equal(none.classes, ann.classes)
+    assert none.positions.dtype == none.classes.dtype == np.int64
+    every = mix_supervision(ann, labels, 1.0, seed=4)
+    np.testing.assert_array_equal(every.positions, np.arange(24))
+    np.testing.assert_array_equal(every.classes, labels.labels)
 
 
 def test_mix_supervision_matches_loop_reference(rng):
@@ -289,7 +291,8 @@ def test_mix_supervision_matches_loop_reference(rng):
             ann = TimestampAnnotations(positions, rng.integers(0, 4, size=n))
         fraction = float(rng.choice([0.0, 0.01, 0.5, 1.0, rng.random()]))
         seed = int(rng.integers(1 << 30))
-        pos, cls = mix_supervision(ann, labels, fraction, seed)
+        mixed = mix_supervision(ann, labels, fraction, seed)
+        pos, cls = mixed.positions, mixed.classes
         want_pos, want_cls = mix_supervision_loop(ann, labels, fraction, seed)
         np.testing.assert_array_equal(pos, want_pos)
         np.testing.assert_array_equal(cls, want_cls)
@@ -537,8 +540,12 @@ def test_evaluate_repeatable_and_chance_level():
 
 def _script_validation(monkeypatch, f_m):
     scripted = iter(f_m)
-    monkeypatch.setattr(trainer_mod, "evaluate", lambda state, data: SimpleNamespace(
-        f_m=next(scripted), acc=0.0, ji=0.0, iou=0.0, o_u=0.0))
+
+    def evaluate(state, data):
+        f_m = next(scripted)
+        return SimpleNamespace(f_m=f_m, as_row=lambda: dict(dict.fromkeys(SCORES, 0.0), f_m=f_m))
+
+    monkeypatch.setattr(trainer_mod, "evaluate", evaluate)
 
 
 def test_early_stopping(monkeypatch):
@@ -587,9 +594,65 @@ def test_pseudo_phase_targets_are_one_hot_at_mixed_samples(monkeypatch):
     assert seen
     soft = 0
     for crop, y_tilde in seen:
-        assert crop.aug_positions.size > len(crop.ann)  # more than the timestamps
-        one_hot = np.zeros((y_tilde.shape[0], crop.aug_positions.size))
-        one_hot[crop.aug_classes, np.arange(crop.aug_positions.size)] = 1.0
-        np.testing.assert_array_equal(y_tilde[:, crop.aug_positions], one_hot)
+        positions, classes = crop.supervised.positions, crop.supervised.classes
+        assert positions.size > len(crop.ann)  # more than the timestamps
+        one_hot = np.zeros((y_tilde.shape[0], positions.size))
+        one_hot[classes, np.arange(positions.size)] = 1.0
+        np.testing.assert_array_equal(y_tilde[:, positions], one_hot)
         soft += int(np.count_nonzero(y_tilde.max(axis=0) < 1.0))
     assert soft > 0  # the unpromoted samples keep their soft pseudo-labels
+
+
+def test_logged_objective_is_the_function_whose_gradient_is_applied(monkeypatch):
+    # loss_total as combined logs it, differentiated numerically along a
+    # direction, against the output gradients the trainer backpropagates
+    captured, objective = {}, trainer_mod._crop_objective
+
+    def capture(crop, outputs, state, y_tilde):  # the last crop of each phase
+        captured[y_tilde is None] = crop, outputs, copy.deepcopy(state), y_tilde
+        return objective(crop, outputs, state, y_tilde)
+
+    monkeypatch.setattr(trainer_mod, "_crop_objective", capture)
+    # two stages; at seed 6 the timestamp epochs set every prototype, so contrast runs
+    net = dataclasses.replace(_config().net, stages=2)
+    train(_corpus(4, seed=8), _corpus(1, seed=9), _config(net=net, epochs_max=3, epochs_init=2,
+                                                          seed=6))
+    monkeypatch.setattr(trainer_mod, "update_bank", lambda *args: None)  # a constant bank
+    rng = np.random.default_rng(5)
+    assert sorted(captured) == [False, True]
+    for crop, outputs, state, y_tilde in captured.values():
+        parts, grads = objective(crop, outputs, copy.deepcopy(state), y_tilde)
+        assert parts["con"] > 0 and parts["conf"] > 0 and parts["smooth"] > 0
+        base = [*outputs.y_prob, outputs.y_s_logits, outputs.v]
+        grad = [*grads.dy_prob, grads.dy_s_logits, grads.dv]
+        # relative steps keep every probability positive
+        directions = [[a * rng.normal(size=a.shape) for a in base]]  # all outputs at once
+        directions += [[a * rng.normal(size=a.shape) if j == i else np.zeros_like(a)
+                        for j, a in enumerate(base)] for i in range(len(base))]  # one each
+
+        for direction in directions:
+            def total(eps):
+                a = [b + eps * d for b, d in zip(base, direction)]
+                moved = net_mod.NetworkOutputs(outputs.z, a[:-2], a[-2], a[-1])
+                return objective(crop, moved, copy.deepcopy(state), y_tilde)[0]["total"]
+
+            numeric = (total(1e-6) - total(-1e-6)) / 2e-6
+            analytic = sum(float((g * d).sum()) for g, d in zip(grad, direction))
+            assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda a: a.update({"param.s0.l1.wd": a["param.s0.l1.wd"][..., :1]}), "param.s0.l1.wd"),
+    (lambda a: a.pop("adam_m.s0.l1.wd"), "adam_m.s0.l1.wd"),
+    (lambda a: a.update({"adam_v.extra": np.zeros(2)}), "adam_v.extra"),
+    (lambda a: a.update({"bank.p": a["bank.p"][:2]}), "bank.p"),
+    (lambda a: a.update({"bank.initialized": a["bank.initialized"][:2]}), "bank.initialized"),
+], ids=["narrow-kernel", "missing-moment", "extra-moment", "short-bank", "short-initialized"])
+def test_checkpoint_arrays_that_do_not_fit_its_config_are_refused(tmp_path, edit, key):
+    save_checkpoint(new_state(_config()), tmp_path / "ok.npz")
+    with np.load(tmp_path / "ok.npz") as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(ValueError, match=f"checkpoint array {key} has shape"):
+        load_checkpoint(tmp_path / "bad.npz")
