@@ -309,6 +309,9 @@ def cmd_pseudo(args):
             missing = classes[~state.bank.initialized[classes]]
             print(f"{sid}: skipped (uninitialized prototypes for classes {missing.tolist()})")
             continue
+        if not plan.converged:  # the dumps below come from the last iterate
+            print(f"{sid}: transport did not converge within ot_max_iters="
+                  f"{state.config.ot_max_iters} (marginal residual {plan.marginal_residual:.3g})")
         _write_columns(os.path.join(args.out, f"q_tot_{sid}.csv"), plan.q, classes.tolist())
         _write_columns(os.path.join(args.out, f"pseudo_{sid}.csv"), labels.y.T,
                        range(labels.y.shape[0]))

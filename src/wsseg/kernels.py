@@ -16,8 +16,8 @@ import numpy as np
 
 
 def _padded(a, pad):
-    """``a`` with ``pad`` zero columns on each side."""
-    out = np.zeros((a.shape[0], a.shape[1] + 2 * pad))
+    """``a`` with ``pad`` zero columns on each side, in ``a``'s dtype."""
+    out = np.zeros((a.shape[0], a.shape[1] + 2 * pad), dtype=a.dtype)
     out[:, pad : pad + a.shape[1]] = a
     return out
 

@@ -24,6 +24,9 @@ so their shared outputs are bitwise equal.
 Parameters live in a flat ``{name: ndarray}`` dict; ``backward`` returns a
 dict with the same keys. Gradients flow through every path, including the
 softmax hand-off between stages.
+
+The parameters alone decide the dtype: the input is cast to it, and every
+array a pass makes has it, given output gradients of that dtype.
 """
 
 import numbers
@@ -92,8 +95,7 @@ class NetworkOutputs:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray
-    stage_inputs: list  # input map fed to each stage
+    stage_inputs: list  # input map fed to each stage; the first is the network input
     g_lists: list  # per stage: [G_0 .. G_L] feature maps
     relu_lists: list  # per stage: each layer's ReLU output, ReLU(W_d (*) G + b_d)
     y_prob: list
@@ -190,8 +192,8 @@ def l2_normalize_backward(d_vn, vn, norms):
     return (d_vn - vn * inner) / norms[None, :]
 
 
-def _input(x, config):
-    data = np.asarray(x, dtype=np.float64)
+def _input(x, params, config):
+    data = np.asarray(x, dtype=params["s0.in.w"].dtype)
     if data.shape[0] != config.in_dim:
         raise ValueError(f"input has {data.shape[0]} channels, config expects {config.in_dim}")
     return data
@@ -242,26 +244,24 @@ def _heads(z, params):
 def probabilities(x, params, config):
     """Per-stage (C, T) class probabilities, the last entry canonical; no
     other head runs and nothing is kept."""
-    return _stages(_input(x, config), params, config, None)[1]
+    return _stages(_input(x, params, config), params, config, None)[1]
 
 
 def forward(x, params, config):
     """Every head, with no cache kept."""
-    z, y_prob = _stages(_input(x, config), params, config, None)
+    z, y_prob = _stages(_input(x, params, config), params, config, None)
     _, y_s_logits, _, v = _heads(z, params)
     return NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
 
 
 def forward_cached(x, params, config):
     """Every head, plus every intermediate backward needs."""
-    data = _input(x, config)
     kept = []
-    z, y_prob = _stages(data, params, config, kept)
+    z, y_prob = _stages(_input(x, params, config), params, config, kept)
     gap, y_s_logits, proj_hidden, v = _heads(z, params)
     outputs = NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
     stage_inputs, g_lists, relu_lists = map(list, zip(*kept))
     cache = ForwardCache(
-        x=data,
         stage_inputs=stage_inputs,
         g_lists=g_lists,
         relu_lists=relu_lists,
@@ -286,7 +286,7 @@ def backward(grads, cache, params, config, acc=None):
             raise StaleCacheError(f"cache does not match current params (key {k!r})")
 
     g = {k: np.zeros_like(v_) for k, v_ in params.items()} if acc is None else acc
-    t_len = cache.x.shape[1]
+    t_len = cache.stage_inputs[0].shape[1]
     z = cache.g_lists[-1][-1]
 
     d_z = np.zeros_like(z)
@@ -314,9 +314,7 @@ def backward(grads, cache, params, config, acc=None):
 
     carry = None  # gradient wrt the previous stage's probabilities
     for s in reversed(range(config.stages)):
-        d_prob = None
-        if dy_list[s] is not None:
-            d_prob = np.array(dy_list[s], dtype=np.float64, copy=True)
+        d_prob = dy_list[s]  # read, never written
         if carry is not None:
             d_prob = carry if d_prob is None else d_prob + carry
 

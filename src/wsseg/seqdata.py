@@ -124,19 +124,19 @@ class SyntheticSpec:
 
 
 def load_sequence(path, num_channels, num_classes, id=""):
-    """Read one labelled sequence from CSV: one sample per row,
-    ``num_channels`` numeric fields and then an integer label in
-    ``[0, num_classes)``. A non-numeric first row is a header and is
-    skipped. Errors name the file and the line."""
+    """Read one labelled sequence from CSV: one sample per row of
+    ``num_channels`` numbers and an integer label in ``[0, num_classes)``.
+    A header (text in line 1's first cell) and rows of empty cells are
+    skipped; any other empty cell is an error. Errors name file and line."""
     rows = []
     labels = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, raw in enumerate(reader, start=1):
-            fields = [f.strip() for f in raw if f.strip() != ""]
-            if not fields:
+            fields = [f.strip() for f in raw]
+            if not any(fields):
                 continue
-            if lineno == 1 and not _is_float(fields[0]):
+            if lineno == 1 and fields[0] and not _is_float(fields[0]):
                 continue  # header
             if len(fields) != num_channels + 1:
                 raise ValueError(

@@ -540,26 +540,28 @@ def save_checkpoint(state, path):
 
 def load_checkpoint(path):
     """The state saved at ``path``. ``ValueError`` names the first array
-    that is missing, extra or of another shape than its own config needs."""
+    that is missing, extra, or of another shape or dtype than its config
+    and training need: float64, and bool for ``bank.initialized``."""
     with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["meta"]))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        net = TcnConfig(**meta["config"]["net"])
-        want = {key + k: v.shape for key in ("param.", "adam_m.", "adam_v.")
-                for k, v in net_mod.init_params(net, 0).items()}
-        want.update({"bank.p": (net.num_classes, net.projector_dim), "meta": (),
-                     "bank.initialized": (net.num_classes,)})
-        for key in sorted(want.keys() | set(npz.files)):
-            shape = npz[key].shape if key in npz.files else None
-            if shape != want.get(key):
-                raise ValueError(f"checkpoint array {key} has shape {shape}, its config"
-                                 f" needs {want.get(key)}")
-        fields = {}
-        for key, name, _, decode in CHECKPOINT_FIELDS:
-            if key.endswith("."):
-                raw = {k[len(key):]: npz[k] for k in npz.files if k.startswith(key)}
-            else:
-                raw = meta[key]
-            fields[name] = decode(raw)
+        arrays = dict(npz)
+    meta = json.loads(str(arrays.pop("meta")))
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    net = TcnConfig(**meta["config"]["net"])
+    bank = PrototypeBank(net.num_classes, net.projector_dim)
+    want = {key + k: v for key in ("param.", "adam_m.", "adam_v.")
+            for k, v in net_mod.init_params(net, 0).items()}
+    want.update({"bank.p": bank.p, "bank.initialized": bank.initialized})
+    for key in sorted(want.keys() | arrays.keys()):
+        for what in ("shape", "dtype"):  # a missing or extra key fails on its shape
+            got, need = (getattr(a[key], what) if key in a else None for a in (arrays, want))
+            if got != need:
+                raise ValueError(f"checkpoint array {key} has {what} {got}, needs {need}")
+    fields = {}
+    for key, name, _, decode in CHECKPOINT_FIELDS:
+        if key.endswith("."):
+            raw = {k[len(key):]: v for k, v in arrays.items() if k.startswith(key)}
+        else:
+            raw = meta[key]
+        fields[name] = decode(raw)
     return TrainState(**fields)

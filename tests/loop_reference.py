@@ -6,7 +6,9 @@ array code replaced, kept as oracles: contrast mining must pick the same
 pairs (same RNG draw order), InfoNCE and the confidence loss must give
 the same loss and gradient up to summation order, and pseudo-label
 generation must give exactly the same labels. A pair is
-``(anchor, pos_classes, pos_weights, neg_classes)``.
+``(anchor, pos_classes, pos_weights, neg_classes)``. The pseudo-label
+reference counts each interval's samples per class itself, one sample at
+a time, so a defect in the package's counting cannot hide in both.
 
 Two Sinkhorn references cross-check the package's stabilized scaling
 solver: ``sinkhorn_log`` iterates log-domain potentials and forms the plan
@@ -31,7 +33,7 @@ import numpy as np
 
 from wsseg.contrast import ContrastBatch
 from wsseg.otrans import TransportPlan
-from wsseg.pseudo import PseudoLabels, count_assignments
+from wsseg.pseudo import PseudoLabels
 from wsseg.seqdata import segments_of
 
 CLAMP = 1e-12
@@ -215,7 +217,12 @@ def generate_loop(q, annotations, eps_hard):
             y[a, t_n + 1 : t_next] = 1.0
             hard[t_n + 1 : t_next] = True
             continue
-        n_a, n_b = count_assignments(q, t_n + 1, t_next - 1, a, b)
+        n_a = n_b = 0
+        for t in range(t_n + 1, t_next):
+            if q[t, a] >= q[t, b]:
+                n_a += 1
+            else:
+                n_b += 1
         hard_a = int(np.floor(eps_hard * n_a))
         hard_b = int(np.floor(eps_hard * n_b))
         for offset in range(interior):

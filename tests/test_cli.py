@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -216,6 +217,25 @@ def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, c
     assert all(line.endswith("for classes [2])") for line in skipped)
 
 
+def test_pseudo_names_each_sequence_whose_transport_did_not_converge(pipeline, tmp_path,
+                                                                    capsys):
+    _, _, data, run, _ = pipeline
+    state = trainer_mod.load_checkpoint(run / "checkpoint.npz")
+    state.config = dataclasses.replace(state.config, ot_max_iters=1)
+    trainer_mod.save_checkpoint(state, tmp_path / "checkpoint.npz")
+    capsys.readouterr()
+    assert main(
+        ["pseudo", "--checkpoint", str(tmp_path / "checkpoint.npz"),
+         "--data", str(data / "train"), "--out", str(tmp_path / "pseudo")]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dumped = sorted(n[len("q_tot_"):-len(".csv")] for n in os.listdir(tmp_path / "pseudo")
+                    if n.startswith("q_tot_"))
+    unconverged = [line for line in lines if "did not converge within ot_max_iters=1 " in line]
+    assert dumped and sorted(line.split(":")[0] for line in unconverged) == dumped
+    assert all("marginal residual" in line for line in unconverged)
+
+
 def _synth(tmp_path, name, **spec):
     config = tmp_path / f"{name}.json"
     synth = dict(CONFIG["synth"], length=120, n_train=1, n_val=1, n_test=1, **spec)
@@ -249,6 +269,7 @@ DATA_FAULTS = {
     "non-numeric-channel": ("seq_000.csv", lambda text: text + "abc,1.0,0\n"),
     "label-out-of-range": ("seq_000.csv", lambda text: text + "0.5,0.5,7\n"),
     "row-without-label": ("seq_000.csv", lambda text: text + "0.5,0.5\n"),
+    "empty-channel-cell": ("seq_000.csv", lambda text: text + "0.5,,0.7,1\n"),
     "meta-not-json": ("meta.json", lambda text: "{not json"),
     "meta-without-num-channels": ("meta.json", _drop_num_channels),
     "csv-is-a-directory": ("zz.csv", None),
@@ -467,6 +488,12 @@ def _edited_checkpoint(tmp_path, checkpoint, edit, command, split):
             "--out", str(tmp_path / "out")]
 
 
+def _copied_data(tmp_path, data, drop):
+    """A copy of the dataset ``data`` without the files matching ``drop``."""
+    shutil.copytree(data, tmp_path / "data", ignore=shutil.ignore_patterns(drop))
+    return tmp_path / "data"
+
+
 # malformed input: (exit code, argv(tmp_path, dataset root, checkpoint path))
 MALFORMED = {
     "top-level-list": (EXIT_CONFIG, lambda t, d, c: _synth_argv(t, [1])),
@@ -515,6 +542,17 @@ MALFORMED = {
         t, c, lambda a: a.pop("param.s0.l1.wd"), "eval", d / "test")),
     "checkpoint-short-bank": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
         t, c, lambda a: a.update({"bank.p": a["bank.p"][:2]}), "pseudo", d / "train")),
+    "checkpoint-float32-param": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, lambda a: a.update({"param.s0.in.w": a["param.s0.in.w"].astype(np.float32)}),
+        "eval", d / "test")),
+    "checkpoint-integer-bank-flags": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, lambda a: a.update({"bank.initialized": a["bank.initialized"].astype(np.int8)}),
+        "pseudo", d / "train")),
+    "train-data-without-meta": (EXIT_MISSING, lambda t, d, c: _train_argv(
+        t, _copied_data(t, d, "meta.json"), CONFIG)),
+    "eval-split-without-csv": (EXIT_DATA, lambda t, d, c: [
+        "eval", "--checkpoint", str(c), "--data", str(_copied_data(t, d, "*.csv") / "test"),
+        "--out", str(t / "out")]),
 }
 
 
@@ -542,3 +580,22 @@ def test_zero_epoch_train_writes_the_log_header_alone(pipeline, tmp_path, capsys
     log = (tmp_path / "out" / "train_log.csv").read_text()
     assert log.splitlines() == [",".join(trainer_mod.LOG_COLUMNS)]
     assert capsys.readouterr().out == "trained 0 epochs\n"  # no best-validation clause
+
+
+def test_train_seed_flag_overrides_the_config_seed(tmp_path):
+    data = _synth(tmp_path, "data")
+    train = dict(CONFIG["train"], epochs_max=2, epochs_init=1)
+    runs = []
+    for name, seed, flag in (("flag", 0, ["--seed", "5"]), ("config", 5, [])):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"train": dict(train, seed=seed)}))
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / name), *flag]) == 0
+        with np.load(tmp_path / name / "checkpoint.npz") as npz:
+            arrays = dict(npz)
+        runs.append(((tmp_path / name / "train_log.csv").read_bytes(), arrays))
+    (log, arrays), (want_log, want_arrays) = runs
+    assert log == want_log
+    assert arrays.keys() == want_arrays.keys()
+    assert all(np.array_equal(arrays[k], want_arrays[k]) for k in arrays)
+    assert json.loads(str(arrays["meta"]))["config"]["seed"] == 5

@@ -83,3 +83,39 @@ def test_kernels_match_the_padded_kernels_on_random_problems():
             else:
                 scale = max(np.abs(want).max(), 1e-300)
                 assert np.abs(got - want).max() <= 1e-12 * scale, (name, where)
+
+
+def test_float32_kernels_stay_within_the_rounding_bound():
+    """300 random problems in float32 against the float64 kernels on the
+    same float32-rounded values: every result is float32, and each entry is
+    within gamma_n * sum|terms|, gamma_n = n*u / (1 - n*u), u = 2**-24, for
+    a reduction of length n: cin*kw + 1 for the forward, cout*kw for d_x
+    and T for d_w and d_b (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1)."""
+    rng = np.random.default_rng(2027)
+    u = 2.0 ** -24
+    for _ in range(300):
+        kw = int(rng.choice([1, 3, 5]))
+        dilation = int(rng.integers(1, 129))
+        t_len = int(rng.integers(1, 2101))
+        cin, cout = (int(n) for n in rng.integers(1, 41, size=2))
+        x, w, d_out = (rng.standard_normal(shape).astype(np.float32)
+                       for shape in ((cin, t_len), (cout, cin, kw), (cout, t_len)))
+        b = rng.standard_normal(cout).astype(np.float32)
+        wide = [a.astype(np.float64) for a in (x, w, b, d_out)]
+        absolute = [np.abs(a) for a in wide]
+        where = f"kw={kw} dilation={dilation} T={t_len} cin={cin} cout={cout}"
+
+        got = [kernels.dilated_conv_forward(x, w, b, dilation),
+               *kernels.dilated_conv_backward(x, w, dilation, d_out)]
+        x64, w64, b64, d64 = wide
+        want = [kernels.dilated_conv_forward(x64, w64, b64, dilation),
+                *kernels.dilated_conv_backward(x64, w64, dilation, d64)]
+        xa, wa, ba, da = absolute
+        terms = [kernels.dilated_conv_forward(xa, wa, ba, dilation),
+                 *kernels.dilated_conv_backward(xa, wa, dilation, da)]
+        lengths = (cin * kw + 1, cout * kw, t_len, t_len)
+        for name, g, ref, size, n in zip(("out", "d_x", "d_w", "d_b"), got, want, terms, lengths):
+            assert g.dtype == np.float32, (name, where)
+            gamma = n * u / (1 - n * u)
+            assert np.all(np.abs(g - ref) <= gamma * size), (name, where)

@@ -84,13 +84,26 @@ def test_forward_rejects_wrong_channel_count(rng):
         net.forward(rng.standard_normal((5, 8)), params, SMALL)
 
 
-@pytest.mark.parametrize("stages", [1, 2, 3])
-@pytest.mark.parametrize("t_len", [1, 5, 300])
-def test_the_three_passes_agree_bitwise(stages, t_len):
+# every (stages, t_len) with float64 and with float32 parameters
+PASSES = pytest.mark.parametrize("stages, t_len, dtype", [
+    pytest.param(stages, t_len, dtype,
+                 id=f"{t_len}-{stages}" + ("-float32" if dtype == np.float32 else ""))
+    for dtype in (np.float64, np.float32) for t_len in (1, 5, 300) for stages in (1, 2, 3)
+])
+
+
+def _params(config, seed, dtype):
+    return {k: v.astype(dtype) for k, v in net.init_params(config, seed).items()}
+
+
+@PASSES
+def test_the_three_passes_agree_bitwise(stages, t_len, dtype):
+    """The shared outputs are bitwise equal, and every array the passes
+    make has the parameters' dtype, though the input is float64."""
     config = net.TcnConfig(
         in_dim=2, num_classes=3, stages=stages, layers_per_stage=4, feature_dim=6, projector_dim=3
     )
-    params = net.init_params(config, stages)
+    params = _params(config, stages, dtype)
     x = np.random.default_rng(t_len).standard_normal((2, t_len))
     probs = net.probabilities(x, params, config)
     plain = net.forward(x, params, config)
@@ -104,6 +117,10 @@ def test_the_three_passes_agree_bitwise(stages, t_len):
     relus = [a for stage in cache.relu_lists for a in stage] + [cache.proj_hidden]
     assert len(relus) == stages * config.layers_per_stage + 1
     assert all(np.all(a >= 0.0) for a in relus)
+    heads = [a for out in (plain, cached) for a in (*out.y_prob, out.z, out.v, out.y_s_logits)]
+    kept = [*cache.stage_inputs, *(g for stage in cache.g_lists for g in stage), *cache.y_prob,
+            cache.gap, *relus]
+    assert all(a.dtype == dtype for a in [*probs, *heads, *kept])
 
 
 @pytest.mark.parametrize("kernel_width", [2, 4])
@@ -162,23 +179,27 @@ def test_backward_stale_cache_detected(rng):
         net.backward(net.OutputGrads(), cache, params, SMALL)
 
 
-@pytest.mark.parametrize("stages", [1, 2, 3])
-@pytest.mark.parametrize("t_len", [1, 5, 300])
-def test_backward_accumulates_into_acc(stages, t_len):
+@PASSES
+def test_backward_accumulates_into_acc(stages, t_len, dtype):
     """backward(..., acc) adds exactly the four-argument result into acc,
-    for every head and for the trainer's heads (no dz, no dv)."""
+    for every head and for the trainer's heads (no dz, no dv); output
+    gradients of the parameters' dtype give gradients of that dtype."""
     config = net.TcnConfig(
         in_dim=2, num_classes=3, stages=stages, layers_per_stage=4, feature_dim=6, projector_dim=3
     )
-    params = net.init_params(config, stages)
+    params = _params(config, stages, dtype)
     rng = np.random.default_rng(t_len)
     x = rng.standard_normal((2, t_len))
     out, cache = net.forward_cached(x, params, config)
+
+    def normal(shape):
+        return rng.standard_normal(shape).astype(dtype)
+
     every_head = net.OutputGrads(
-        dz=rng.standard_normal(out.z.shape),
-        dy_prob=[rng.standard_normal(p.shape) for p in out.y_prob],
-        dy_s_logits=rng.standard_normal(out.y_s_logits.shape),
-        dv=rng.standard_normal(out.v.shape),
+        dz=normal(out.z.shape),
+        dy_prob=[normal(p.shape) for p in out.y_prob],
+        dy_s_logits=normal(out.y_s_logits.shape),
+        dv=normal(out.v.shape),
     )
     trainer_heads = net.OutputGrads(dy_prob=every_head.dy_prob,
                                     dy_s_logits=every_head.dy_s_logits)
@@ -187,7 +208,8 @@ def test_backward_accumulates_into_acc(stages, t_len):
         again = net.backward(grads, cache, params, config)
         assert fresh is not again and fresh.keys() == again.keys() == params.keys()
         assert all(np.array_equal(fresh[k], again[k]) for k in params)
-        acc = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        assert all(fresh[k].dtype == dtype for k in params)
+        acc = {k: normal(v.shape) for k, v in params.items()}
         before = {k: v.copy() for k, v in acc.items()}
         assert net.backward(grads, cache, params, config, acc) is acc
         for k in params:

@@ -69,6 +69,23 @@ def test_load_sequence_row_without_label_names_line(tmp_path, text):
         load_sequence(path, 2, 3)
 
 
+@pytest.mark.parametrize("row, error", [
+    ("0.5,,0.7,1", "expected 2 channels and a label, got 4 fields"),
+    ("0.5,,1", "non-numeric channel value"),
+    (",0.5,1", "non-numeric channel value"),
+    ("0.5,0.7,", "non-integer label"),
+])
+def test_load_sequence_empty_cell_names_line(tmp_path, row, error):
+    """Every cell counts: an empty one is an error, and only a row of empty
+    cells is skipped."""
+    path = tmp_path / "holes.csv"
+    path.write_text(f"1.0,2.0,0\n,,\n\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: {error}")):
+        load_sequence(path, 2, 3)
+    path.write_text("1.0,2.0,0\n,,\n\n3.0,4.0,1\n")
+    np.testing.assert_array_equal(load_sequence(path, 2, 3).labels.labels, [0, 1])
+
+
 def test_csv_round_trip(tmp_path, rng):
     data = rng.standard_normal((3, 7))
     item = LabeledSequence(SensorSequence(data), DenseLabels(rng.integers(0, 4, size=7), 4))

@@ -641,18 +641,28 @@ def test_logged_objective_is_the_function_whose_gradient_is_applied(monkeypatch)
             assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda a: a.update({"param.s0.l1.wd": a["param.s0.l1.wd"][..., :1]}), "param.s0.l1.wd"),
-    (lambda a: a.pop("adam_m.s0.l1.wd"), "adam_m.s0.l1.wd"),
-    (lambda a: a.update({"adam_v.extra": np.zeros(2)}), "adam_v.extra"),
-    (lambda a: a.update({"bank.p": a["bank.p"][:2]}), "bank.p"),
-    (lambda a: a.update({"bank.initialized": a["bank.initialized"][:2]}), "bank.initialized"),
-], ids=["narrow-kernel", "missing-moment", "extra-moment", "short-bank", "short-initialized"])
-def test_checkpoint_arrays_that_do_not_fit_its_config_are_refused(tmp_path, edit, key):
+@pytest.mark.parametrize("edit, key, what", [
+    (lambda a: a.update({"param.s0.l1.wd": a["param.s0.l1.wd"][..., :1]}), "param.s0.l1.wd",
+     "shape"),
+    (lambda a: a.pop("adam_m.s0.l1.wd"), "adam_m.s0.l1.wd", "shape"),
+    (lambda a: a.update({"adam_v.extra": np.zeros(2)}), "adam_v.extra", "shape"),
+    (lambda a: a.update({"bank.p": a["bank.p"][:2]}), "bank.p", "shape"),
+    (lambda a: a.update({"bank.initialized": a["bank.initialized"][:2]}), "bank.initialized",
+     "shape"),
+    (lambda a: a.update({"param.s0.in.w": a["param.s0.in.w"].astype(np.float32)}),
+     "param.s0.in.w", "dtype float32"),
+    (lambda a: a.update({"adam_v.ml.b": a["adam_v.ml.b"].astype(np.float32)}), "adam_v.ml.b",
+     "dtype float32"),
+    (lambda a: a.update({"bank.p": a["bank.p"].astype(np.float16)}), "bank.p", "dtype float16"),
+    (lambda a: a.update({"bank.initialized": a["bank.initialized"].astype(np.int8)}),
+     "bank.initialized", "dtype int8"),
+], ids=["narrow-kernel", "missing-moment", "extra-moment", "short-bank", "short-initialized",
+        "float32-param", "float32-moment", "float16-bank", "integer-initialized"])
+def test_checkpoint_arrays_that_do_not_fit_its_config_are_refused(tmp_path, edit, key, what):
     save_checkpoint(new_state(_config()), tmp_path / "ok.npz")
     with np.load(tmp_path / "ok.npz") as npz:
         arrays = dict(npz)
     edit(arrays)
     np.savez(tmp_path / "bad.npz", **arrays)
-    with pytest.raises(ValueError, match=f"checkpoint array {key} has shape"):
+    with pytest.raises(ValueError, match=f"checkpoint array {key} has {what}"):
         load_checkpoint(tmp_path / "bad.npz")
