@@ -279,15 +279,22 @@ def backward(grads, cache, params, config, acc=None):
     Without ``acc`` they are returned as a fresh dict with the keys of
     ``params``; with ``acc`` (such a dict) they are added into it in place
     and ``acc`` is returned. Heads that receive no upstream gradient
-    contribute exact zeros.
+    contribute exact zeros. ``ValueError`` when a given output gradient
+    does not have the parameters' dtype.
     """
     for k, v_ in params.items():
         if cache.param_ids.get(k) != id(v_):
             raise StaleCacheError(f"cache does not match current params (key {k!r})")
+    dy_list = list(grads.dy_prob) if grads.dy_prob is not None else [None] * config.stages
+    if len(dy_list) != config.stages:
+        raise ValueError("dy_prob must have one entry per stage")
+    z = cache.g_lists[-1][-1]  # in the parameters' dtype
+    for d in (grads.dz, grads.dy_s_logits, grads.dv, *dy_list):
+        if d is not None and d.dtype != z.dtype:
+            raise ValueError(f"output gradient of dtype {d.dtype}, parameters of {z.dtype}")
 
     g = {k: np.zeros_like(v_) for k, v_ in params.items()} if acc is None else acc
     t_len = cache.stage_inputs[0].shape[1]
-    z = cache.g_lists[-1][-1]
 
     d_z = np.zeros_like(z)
     if grads.dz is not None:
@@ -307,10 +314,6 @@ def backward(grads, cache, params, config, acc=None):
         g["ml.b"] += grads.dy_s_logits
         d_gap = params["ml.w"].T @ grads.dy_s_logits
         d_z += d_gap[:, None] / t_len
-
-    dy_list = list(grads.dy_prob) if grads.dy_prob is not None else [None] * config.stages
-    if len(dy_list) != config.stages:
-        raise ValueError("dy_prob must have one entry per stage")
 
     carry = None  # gradient wrt the previous stage's probabilities
     for s in reversed(range(config.stages)):

@@ -58,7 +58,7 @@ LOG_COLUMNS = ("epoch", "phase", "lr", *(f"loss_{key}" for key in LOSS_KEYS),
 # checkpoints and configs carry them, and from_dict drops them.
 RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
                 "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
-                "include_background_cls": False}
+                "include_background_cls": False, "lr_factor": 0.99, "lr_period": 100}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -74,8 +74,6 @@ class TrainConfig:
     epochs_max: int = 50
     epochs_init: int = 30
     lr: float = 0.001
-    lr_factor: float = 0.99
-    lr_period: int = 100
     batch_size: int = 8
     crop_len: int = 512
     seed: int = 0
@@ -98,8 +96,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.epochs_init > self.epochs_max:
             raise ValueError("epochs_init must be <= epochs_max")
-        if not 0.0 < self.lr_factor <= 1.0:
-            raise ValueError("lr_factor must lie in (0, 1]")
         if self.epochs_init < self.epochs_max and not self.use_prototypes:
             raise ValueError("the pseudo-label phase requires prototypes")
         for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):
@@ -108,8 +104,8 @@ class TrainConfig:
         for name in ("proto_momentum", "eps_hard", "mixed_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("batch_size", "crop_len", "proto_k", "anchor_count", "lr_period",
-                     "patience", "ot_max_iters"):
+        for name in ("batch_size", "crop_len", "proto_k", "anchor_count", "patience",
+                     "ot_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -128,12 +124,6 @@ class TrainConfig:
 
     def to_dict(self):
         return asdict(self)
-
-
-def learning_rate(config, epoch):
-    """The Adam step size of ``config``'s schedule once ``epoch`` epochs are
-    complete: ``lr``, times ``lr_factor`` every ``lr_period`` epochs."""
-    return config.lr * config.lr_factor ** (epoch // config.lr_period)
 
 
 @dataclass
@@ -211,13 +201,9 @@ def mix_supervision(annotations, labels, fraction, seed):
 def make_crops(t_len, annotations, crop_len):
     """Contiguous crop windows whose cuts sit at inter-timestamp midpoints,
     so no crop separates a timestamp from both of its adjacent intervals."""
-    positions = annotations.positions
-    if t_len <= crop_len or positions.size <= 1:
-        return [(0, t_len)]
-    mids = [(int(positions[i]) + int(positions[i + 1])) // 2 + 1 for i in range(positions.size - 1)]
-    cuts = []
-    start = 0
-    for mid in mids:
+    positions = annotations.positions  # int64
+    cuts, start = [], 0
+    for mid in ((positions[:-1] + positions[1:]) // 2 + 1).tolist():
         if mid - start >= crop_len:
             cuts.append((start, mid))
             start = mid
@@ -311,7 +297,7 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
             state.best_f_m = report.f_m
             state.best_epoch = state.epoch
 
-        row = (state.epoch, phase, learning_rate(config, state.epoch),
+        row = (state.epoch, phase, config.lr,
                *(totals[key] / len(starts) for key in LOSS_KEYS), *report.as_row().values())
         logs.append(dict(zip(LOG_COLUMNS, row, strict=True)))
     return state, logs
@@ -434,8 +420,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
 
 def _adam_step(state, grads):
     state.adam_t += 1
-    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.adam_t
-    lr = learning_rate(state.config, state.epoch)
+    b1, b2, eps, t, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.adam_t, state.config.lr
     for k, g in grads.items():
         state.adam_m[k] = b1 * state.adam_m[k] + (1 - b1) * g
         state.adam_v[k] = b2 * state.adam_v[k] + (1 - b2) * g * g
@@ -515,10 +500,8 @@ CHECKPOINT_FIELDS = (
 )
 
 
-def save_checkpoint(state, path):
-    """Single-file npz dump of every field of ``state`` (schema documented
-    in the README). The file is written beside ``path`` and then renamed
-    over it, so an interrupted save leaves any previous checkpoint whole."""
+def _encode(state):
+    """The arrays and the JSON meta entries a checkpoint stores for ``state``."""
     arrays, meta = {}, {"version": CHECKPOINT_VERSION}
     for key, name, encode, _ in CHECKPOINT_FIELDS:
         value = encode(getattr(state, name))
@@ -526,6 +509,14 @@ def save_checkpoint(state, path):
             arrays.update((key + k, v) for k, v in value.items())
         else:
             meta[key] = value
+    return arrays, meta
+
+
+def save_checkpoint(state, path):
+    """Single-file npz dump of every field of ``state`` (schema documented
+    in the README). The file is written beside ``path`` and then renamed
+    over it, so an interrupted save leaves any previous checkpoint whole."""
+    arrays, meta = _encode(state)
     arrays["meta"] = np.array(json.dumps(meta))
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -540,25 +531,24 @@ def save_checkpoint(state, path):
 
 def load_checkpoint(path):
     """The state saved at ``path``. ``ValueError`` names the first array
-    that is missing, extra, or of another shape or dtype than its config
-    and training need: float64, and bool for ``bank.initialized``."""
+    that is missing, extra, or of another shape or dtype than in a new
+    state of the stored config (``new_state``)."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = dict(npz)
     meta = json.loads(str(arrays.pop("meta")))
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    net = TcnConfig(**meta["config"]["net"])
-    bank = PrototypeBank(net.num_classes, net.projector_dim)
-    want = {key + k: v for key in ("param.", "adam_m.", "adam_v.")
-            for k, v in net_mod.init_params(net, 0).items()}
-    want.update({"bank.p": bank.p, "bank.initialized": bank.initialized})
+    config = TrainConfig.from_dict(meta["config"])
+    want, _ = _encode(new_state(config))
     for key in sorted(want.keys() | arrays.keys()):
         for what in ("shape", "dtype"):  # a missing or extra key fails on its shape
             got, need = (getattr(a[key], what) if key in a else None for a in (arrays, want))
             if got != need:
                 raise ValueError(f"checkpoint array {key} has {what} {got}, needs {need}")
-    fields = {}
+    fields = {"config": config}
     for key, name, _, decode in CHECKPOINT_FIELDS:
+        if name in fields:
+            continue
         if key.endswith("."):
             raw = {k[len(key):]: v for k, v in arrays.items() if k.startswith(key)}
         else:

@@ -18,7 +18,9 @@ up to rounding; ``sinkhorn_direct`` iterates the scaling vectors of
 
 ``mix_supervision_loop`` collects the promoted samples in a dict keyed by
 position; the array version must draw the same picks and return equal
-arrays.
+arrays. ``make_crops_loop`` returns one whole-sequence crop early for a
+short sequence or at most one timestamp, and walks the midpoints one
+Python int at a time; the array version must return an equal list.
 
 The padded conv kernels are the network's previous dilated convolution:
 the forward starts from the repeated bias, and the backward adds each
@@ -176,6 +178,21 @@ def mix_supervision_loop(annotations, labels, fraction, seed):
     positions = np.array(sorted(chosen), dtype=np.int64)
     classes = np.array([chosen[int(p)] for p in positions], dtype=np.int64)
     return positions, classes
+
+
+def make_crops_loop(t_len, annotations, crop_len):
+    positions = annotations.positions
+    if t_len <= crop_len or positions.size <= 1:
+        return [(0, t_len)]
+    mids = [(int(positions[i]) + int(positions[i + 1])) // 2 + 1 for i in range(positions.size - 1)]
+    cuts = []
+    start = 0
+    for mid in mids:
+        if mid - start >= crop_len:
+            cuts.append((start, mid))
+            start = mid
+    cuts.append((start, t_len))
+    return cuts
 
 
 def normalize_two_class(q, t, class_a, class_b):

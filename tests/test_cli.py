@@ -385,11 +385,17 @@ def test_missing_config_and_checkpoint(tmp_path, capsys):
 
 def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train": dict(CONFIG["train"], pseudo_per_batch=True)}))
+    for key, value in (("pseudo_per_batch", True), ("lr_period", 50)):
+        config.write_text(json.dumps({"train": dict(CONFIG["train"], **{key: value})}))
+        code = main(["train", "--config", str(config), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+    # at their only values they pass: the run stops at the missing data
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], lr_factor=0.99, lr_period=100)}))
     code = main(["train", "--config", str(config), "--data", str(tmp_path),
                  "--out", str(tmp_path / "run")])
-    assert code == EXIT_CONFIG
-    assert "pseudo_per_batch" in capsys.readouterr().err
+    assert code == EXIT_MISSING
 
 
 @pytest.mark.parametrize("field, train", [

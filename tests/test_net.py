@@ -216,6 +216,20 @@ def test_backward_accumulates_into_acc(stages, t_len, dtype):
             assert np.array_equal(acc[k], before[k] + fresh[k]), k
 
 
+@pytest.mark.parametrize("head", ["dz", "dy_prob", "dy_s_logits", "dv"])
+def test_backward_refuses_output_gradients_of_another_dtype(head):
+    """float32 parameters fed a float64 output gradient would run the whole
+    backward in float64; backward refuses instead."""
+    params = _params(SMALL, 0, np.float32)
+    out, cache = net.forward_cached(np.ones((2, 7)), params, SMALL)
+    given = {"dz": out.z, "dy_prob": out.y_prob[-1], "dy_s_logits": out.y_s_logits, "dv": out.v}
+    wide = given[head].astype(np.float64)
+    grads = net.OutputGrads(dy_prob=[out.y_prob[0], wide]) if head == "dy_prob" else (
+        net.OutputGrads(**{head: wide}))
+    with pytest.raises(ValueError, match="dtype float64, parameters of float32"):
+        net.backward(grads, cache, params, SMALL)
+
+
 def _probe_scalar(x, params, config, probes):
     """Deterministic scalar touching every head: random-weighted sums."""
     out = net.forward(x, params, config)
