@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TAU = 0.1  # the InfoNCE temperature in training
+
 
 @dataclass
 class ContrastBatch:

@@ -17,6 +17,7 @@ import numpy as np
 from .net import check_fields
 
 CLAMP = 1e-12
+TAU_TRUNC = 4.0  # the truncation threshold of the smoothing penalty in training
 
 
 @dataclass
@@ -24,15 +25,11 @@ class LossWeights:
     lambda_con: float = 0.5
     lambda_s: float = 0.15
     lambda_conf: float = 0.5
-    tau_trunc: float = 4.0  # truncation threshold of the smoothing penalty
-    tau_contrast: float = 0.1  # InfoNCE temperature, forwarded to contrast
 
     def __post_init__(self):
         check_fields(self)
         if min(self.lambda_con, self.lambda_s, self.lambda_conf) < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.tau_trunc <= 0 or self.tau_contrast <= 0:
-            raise ValueError("thresholds must be positive")
 
     def weight(self, term):
         """The weight in the objective of ``term``, a ``trainer.LOSS_KEYS``

@@ -42,22 +42,20 @@ class StaleCacheError(RuntimeError):
 
 
 # What a config field annotated with the key takes, and how to say so.
-_FIELD_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-                bool: (bool, "true or false")}
+_FIELD_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def check_fields(config):
     """Raise ``ValueError`` naming the first field of the dataclass
-    ``config`` whose value does not fit its ``int``, ``float`` or ``bool``
-    annotation. Numpy numbers fit; a bool fits only a ``bool`` field.
-    Fields of any other annotation, such as nested configs and arrays, are
-    not checked."""
+    ``config`` whose value does not fit its ``int`` or ``float`` annotation.
+    Numpy numbers fit; a bool fits neither. Fields of any other annotation,
+    such as nested configs and arrays, are not checked."""
     for f in fields(config):
         if f.type not in _FIELD_TYPES:
             continue
         value = getattr(config, f.name)
         kind, what = _FIELD_TYPES[f.type]
-        if not isinstance(value, kind) or (isinstance(value, bool) and f.type is not bool):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 

@@ -18,8 +18,7 @@ overflows or loses a row to underflow, however small the regularization
 or the prior. After the column step the columns are exact, so the
 stopping residual is the row deviation ``max |u (K v) - a|``. The plan is
 formed once, on exit, and its reported residual is its worst row or
-column deviation. Rows and columns with zero mass get zero scalings and
-come out as zero.
+column deviation. Every marginal entry must be positive.
 """
 
 from dataclasses import dataclass
@@ -33,8 +32,8 @@ TINY = np.finfo(np.float64).tiny
 @dataclass
 class TransportProblem:
     score: np.ndarray  # (N_A, N_B) similarities, to be maximized
-    alpha: np.ndarray  # (N_A,) row marginal, sums to 1
-    beta: np.ndarray  # (N_B,) column marginal, sums to 1
+    alpha: np.ndarray  # (N_A,) row marginal, positive, sums to 1
+    beta: np.ndarray  # (N_B,) column marginal, positive, sums to 1
     reg: float  # entropy weight eps, or KL weight rho when prior given
     log_prior: np.ndarray | None = None  # (N_A, N_B) finite log of the prior T
 
@@ -47,8 +46,8 @@ class TransportProblem:
             raise ValueError("marginal sizes do not match the score matrix")
         if not np.all(np.isfinite(self.score)):
             raise ValueError("score matrix must be finite")
-        if np.any(self.alpha < 0) or np.any(self.beta < 0):
-            raise ValueError("marginals must be nonnegative")
+        if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
+            raise ValueError("marginals must be positive")
         if not (np.isclose(self.alpha.sum(), 1.0) and np.isclose(self.beta.sum(), 1.0)):
             raise ValueError("marginals must each sum to 1")
         if self.reg <= 0:
@@ -81,10 +80,7 @@ def sinkhorn(problem, max_iters=5000, tol=1e-6):
     # column-major, so K v, K^T u and the row peaks all run along columns
     log_k = np.asfortranarray(log_k)
     a, b = problem.alpha, problem.beta
-    rows, cols = a > 0, b > 0
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
+    log_a, log_b = np.log(a), np.log(b)
     f = -log_k.max(axis=1)  # each row of the first K peaks at 1
     g = np.zeros_like(b)
     k, u, v = _kernel(log_k, f, g)
@@ -92,14 +88,14 @@ def sinkhorn(problem, max_iters=5000, tol=1e-6):
     residual = np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        u = _scaling(a, kv, rows)
+        u = _scaling(a, kv)
         if u is None:
-            g = g + _log(v)
+            g = g + np.log(v)
             f = log_a - _lse(log_k + g[None, :], axis=1)
             k, u, v = _kernel(log_k, f, g)
-        v = _scaling(b, k.T @ u, cols)
+        v = _scaling(b, k.T @ u)
         if v is None:
-            f = f + _log(u)
+            f = f + np.log(u)
             g = log_b - _lse(log_k + f[:, None], axis=0)
             k, u, v = _kernel(log_k, f, g)
         kv = k @ v
@@ -150,18 +146,13 @@ def solve_order_preserving(embeddings, prototypes, rho, sigma=1.0, max_iters=500
     return sinkhorn(problem, max_iters=max_iters, tol=tol)
 
 
-def _scaling(mass, kernel_sum, support):
-    """``mass / kernel_sum``, 0 where the mass is 0; None when an entry on
-    the support leaves [1/TAU, TAU], as it does where the sum underflowed."""
+def _scaling(mass, kernel_sum):
+    """``mass / kernel_sum``; None when an entry leaves [1/TAU, TAU], as it
+    does where the sum underflowed."""
     s = mass / np.maximum(kernel_sum, TINY)
-    if s.max() > TAU or s.min(where=support, initial=np.inf) < 1.0 / TAU:
+    if s.max() > TAU or s.min() < 1.0 / TAU:
         return None
     return s
-
-
-def _log(s):
-    with np.errstate(divide="ignore"):  # zero-mass scalings absorb as -inf
-        return np.log(s)
 
 
 def _kernel(log_k, f, g):
@@ -172,10 +163,7 @@ def _kernel(log_k, f, g):
 
 def _lse(a, axis):
     peak = a.max(axis=axis, keepdims=True)
-    # rows/columns at -inf (zero marginal mass) stay -inf without warnings
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    out = np.log(np.exp(a - safe).sum(axis=axis)) + np.squeeze(safe, axis=axis)
-    return out
+    return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
 def _residual(q, problem):

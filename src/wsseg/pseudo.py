@@ -60,14 +60,12 @@ def generate(q, annotations, eps_hard):
     first, last = int(positions[0]), int(positions[-1])
     y[int(classes[0]), : first + 1] = 1.0
     hard[: first + 1] = True
-    y[:, last:] = 0.0
     y[int(classes[-1]), last:] = 1.0
     hard[last:] = True
 
     for n in range(positions.size - 1):
         t_n, t_next = int(positions[n]), int(positions[n + 1])
         a, b = int(classes[n]), int(classes[n + 1])
-        y[:, t_n] = 0.0
         y[a, t_n] = 1.0
         hard[t_n] = True
         interior = t_next - t_n - 1

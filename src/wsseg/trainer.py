@@ -3,11 +3,11 @@ pseudo-labels regenerated every epoch from order-preserving transport.
 
 Phase 1 (epoch < epochs_init) optimizes the timestamp objective: per-stage
 cross-entropy at annotated samples plus smoothing and confidence
-penalties, and, when prototypes are enabled, the multi-label and
-sample-to-prototype contrastive terms. Phase 2 swaps the timestamp
-cross-entropy for a dense soft cross-entropy against pseudo-labels; a
-sequence without pseudo-labels (some annotated class has no initialized
-prototype) keeps the timestamp term. Training is deterministic for a
+penalties, and, with prototypes (``TrainConfig.use_prototypes``), the
+multi-label and sample-to-prototype contrastive terms. Phase 2 swaps the
+timestamp cross-entropy for a dense soft cross-entropy against
+pseudo-labels; a sequence without pseudo-labels (some annotated class has
+no initialized prototype) keeps the timestamp term. Training is deterministic for a
 fixed seed, checkpointable, and exactly resumable.
 
 A run's settings have one home, ``TrainState.config``: ``train`` sets
@@ -54,11 +54,14 @@ LOSS_KEYS = ("total", "seg", "segall", "cls", "con", "smooth", "conf")
 LOG_COLUMNS = ("epoch", "phase", "lr", *(f"loss_{key}" for key in LOSS_KEYS),
                *(f"val_{key}" for key in SCORES))
 
-# Retired config keys and the one value each could still hold: older
-# checkpoints and configs carry them, and from_dict drops them.
+# Retired config keys and the one value each could still hold, at the top
+# level and in the ``loss`` section: older checkpoints and configs carry
+# them, and from_dict drops them. A stored ``use_prototypes`` must be the
+# value the rest of its config implies.
 RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
                 "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
                 "include_background_cls": False, "lr_factor": 0.99, "lr_period": 100}
+RETIRED_LOSS_KEYS = {"tau_trunc": losses_mod.TAU_TRUNC, "tau_contrast": contrast_mod.TAU}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -77,7 +80,6 @@ class TrainConfig:
     batch_size: int = 8
     crop_len: int = 512
     seed: int = 0
-    use_prototypes: bool = True
     proto_k: int = 8
     proto_momentum: float = 0.9
     anchor_count: int = 64
@@ -96,8 +98,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.epochs_init > self.epochs_max:
             raise ValueError("epochs_init must be <= epochs_max")
-        if self.epochs_init < self.epochs_max and not self.use_prototypes:
-            raise ValueError("the pseudo-label phase requires prototypes")
+        if self.use_prototypes and self.net.num_classes < 2:
+            raise ValueError("prototypes need num_classes >= 2: class 0 is the background")
         for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -109,18 +111,32 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
+    @property
+    def use_prototypes(self):
+        """CAMs, L_cls and the prototype bank run when contrast is weighted
+        in or a pseudo-label phase follows."""
+        return self.loss.lambda_con > 0 or self.epochs_init < self.epochs_max
+
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        for key, only in RETIRED_KEYS.items():
-            # type and value: 0 == False, yet 0 is not the retired boolean
-            if key in d and (type(value := d.pop(key)), value) != (type(only), only):
-                raise ValueError(
-                    f"config key {key!r} is retired; only {json.dumps(only)} is supported"
-                )
+        loss = dict(d.pop("loss", {}))
+        for section, retired in ((d, RETIRED_KEYS), (loss, RETIRED_LOSS_KEYS)):
+            for key, only in retired.items():
+                # type and value: 0 == False, yet 0 is not the retired boolean
+                if key in section and (type(v := section.pop(key)), v) != (type(only), only):
+                    raise ValueError(
+                        f"config key {key!r} is retired; only {json.dumps(only)} is supported"
+                    )
         net = TcnConfig(**d.pop("net"))
-        loss = LossWeights(**d.pop("loss", {}))
-        return cls(net=net, loss=loss, **d)
+        config = cls(net=net, loss=LossWeights(**loss),
+                     **{k: v for k, v in d.items() if k != "use_prototypes"})
+        implied = config.use_prototypes
+        stored = d.get("use_prototypes", implied)
+        if type(stored) is not bool or stored != implied:
+            raise ValueError(f"config key 'use_prototypes' is retired; this config implies"
+                             f" {json.dumps(implied)}")
+        return config
 
     def to_dict(self):
         return asdict(self)
@@ -244,22 +260,27 @@ def train(train_set, val_set, config, state=None, diag_dir=None):
     records. Two runs with identical seeds and data produce identical logs.
 
     A resumed ``state`` adopts ``config``, which must keep its ``net`` and
-    ``seed``: ``ValueError`` otherwise, or when ``train_set`` or
-    ``val_set`` is empty. A non-finite loss raises ``NonFiniteLossError``;
-    with a ``diag_dir`` the offending crop's diagnostics are first written
-    there as an ``.npz``, without one none are written.
+    ``seed``: ``ValueError`` otherwise, or, before any work, when
+    ``train_set`` or ``val_set`` is empty or holds a sequence without
+    ``in_dim`` channels or with a label outside ``[0, num_classes)``. A
+    non-finite loss raises ``NonFiniteLossError``; with a ``diag_dir`` the
+    offending crop's diagnostics are first written there as an ``.npz``,
+    without one none are written.
     """
-    if not train_set:
-        raise ValueError("train_set is empty")
-    if not val_set:
-        raise ValueError("val_set is empty")
+    c, d = config.net.num_classes, config.net.in_dim
+    for name, data_set in (("train_set", train_set), ("val_set", val_set)):
+        if not data_set:
+            raise ValueError(f"{name} is empty")
+        for i, item in enumerate(data_set):
+            labels = item.labels.labels
+            if item.sequence.data.shape[0] != d or labels.min() < 0 or labels.max() >= c:
+                raise ValueError(f"{name}[{i}] needs {d} channels and labels in [0, {c})")
     if state is None:
         state = new_state(config)
     for name in ("net", "seed"):  # new_state consumed them
         if getattr(config, name) != getattr(state.config, name):
             raise ValueError(f"a resumed run cannot change {name}")
     state.config = config
-    c = config.net.num_classes
     annotations = training_annotations(train_set, config.seed)
     mix_rng = np.random.default_rng(_streams(config.seed)[2])
     supervised, crops = [], []
@@ -373,7 +394,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 y, crop.supervised.positions, crop.supervised.classes
             ))]
         if weights.weight("smooth") > 0 and y.shape[1] >= 2:
-            terms.append(("smooth", losses_mod.l_smooth(y, weights.tau_trunc)))
+            terms.append(("smooth", losses_mod.l_smooth(y, losses_mod.TAU_TRUNC)))
         if weights.weight("conf") > 0 and len(crop.ann) >= 2:
             terms.append(("conf", losses_mod.l_conf(y, crop.ann.positions, crop.ann.classes)))
         for key, (val, g) in terms:
@@ -409,9 +430,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 anchor_count=config.anchor_count,
             )
             if mined:
-                parts["con"], d_vn = contrast_mod.info_nce(
-                    mined, vn, state.bank, weights.tau_contrast
-                )
+                parts["con"], d_vn = contrast_mod.info_nce(mined, vn, state.bank, contrast_mod.TAU)
                 dv = net_mod.l2_normalize_backward(weights.weight("con") * d_vn, vn, norms)
 
     parts["total"] = losses_mod.combined(parts, weights)

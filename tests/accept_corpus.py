@@ -64,10 +64,10 @@ def ablation_config(variant, seed=11, mixed_fraction=0.0):
     )
     if variant == 1:  # timestamp cross-entropy only
         base["loss"] = LossWeights(lambda_con=0.0, lambda_s=0.0, lambda_conf=0.0)
-        base.update(use_prototypes=False, epochs_init=base["epochs_max"])
+        base.update(epochs_init=base["epochs_max"])
     elif variant == 2:  # + smoothing and confidence
         base["loss"] = LossWeights(lambda_con=0.0, lambda_s=0.15, lambda_conf=0.5)
-        base.update(use_prototypes=False, epochs_init=base["epochs_max"])
+        base.update(epochs_init=base["epochs_max"])
     elif variant == 3:  # + multi-label and contrast losses
         base.update(epochs_init=base["epochs_max"])
     elif variant == 4:  # full method with transport pseudo-labels

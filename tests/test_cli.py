@@ -185,21 +185,38 @@ def test_checkpoint_that_is_a_directory_is_a_data_error(pipeline, tmp_path, caps
     assert f"cannot read checkpoint {folder}" in capsys.readouterr().err
 
 
-def test_checkpoint_config_with_an_unknown_key_is_a_data_error(pipeline, tmp_path, capsys):
-    _, _, data, run, _ = pipeline
+def _checkpoint_with_config_keys(run, tmp_path, **extra):
+    """A copy of the run's checkpoint whose stored config also holds ``extra``."""
     with np.load(run / "checkpoint.npz") as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays["meta"]))
-    meta["config"]["bogus"] = 1
+    meta["config"].update(extra)
     arrays["meta"] = np.array(json.dumps(meta))
-    bad = tmp_path / "checkpoint.npz"
-    with open(bad, "wb") as fh:
+    path = tmp_path / "checkpoint.npz"
+    with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+    return path
+
+
+def test_checkpoint_config_with_an_unknown_key_is_a_data_error(pipeline, tmp_path, capsys):
+    _, _, data, run, _ = pipeline
+    bad = _checkpoint_with_config_keys(run, tmp_path, bogus=1)
     code = main(["eval", "--checkpoint", str(bad), "--data", str(data / "test"),
                  "--out", str(tmp_path / "eval")])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"cannot read checkpoint {bad}" in err and "bogus" in err
+
+
+def test_checkpoint_with_a_legacy_prototype_switch(pipeline, tmp_path, capsys):
+    # the run's config weights contrast in, so it implies prototypes
+    _, _, data, run, _ = pipeline
+    argv = ["eval", "--data", str(data / "test"), "--out", str(tmp_path / "eval")]
+    good = _checkpoint_with_config_keys(run, tmp_path, use_prototypes=True)
+    assert main(argv + ["--checkpoint", str(good)]) == 0
+    bad = _checkpoint_with_config_keys(run, tmp_path, use_prototypes=False)
+    assert main(argv + ["--checkpoint", str(bad)]) == EXIT_DATA
+    assert "use_prototypes" in capsys.readouterr().err
 
 
 def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, capsys):
@@ -396,6 +413,28 @@ def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     code = main(["train", "--config", str(config), "--data", str(tmp_path),
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_MISSING
+
+
+def test_one_class_network_with_prototypes_is_a_config_error(tmp_path, capsys):
+    # exits before the (missing) data directory is read
+    config = tmp_path / "config.json"
+    net = dict(CONFIG["train"]["net"], num_classes=1)
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], net=net)}))
+    code = main(["train", "--config", str(config), "--data", str(tmp_path / "none"),
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert "num_classes" in capsys.readouterr().err
+
+
+def test_legacy_prototype_switch_must_match_the_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    phase1 = dict(CONFIG["train"], epochs_init=CONFIG["train"]["epochs_max"])  # contrast only
+    for train, code in ((dict(phase1, use_prototypes=False), EXIT_CONFIG),
+                        (dict(phase1, use_prototypes=True), EXIT_MISSING)):
+        config.write_text(json.dumps({"train": train}))
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "run")]) == code
+    assert "use_prototypes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, train", [

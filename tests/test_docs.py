@@ -9,7 +9,14 @@ from wsseg.cli import main
 from wsseg.losses import LossWeights
 from wsseg.net import TcnConfig
 from wsseg.seqdata import SyntheticSpec, generate_synthetic
-from wsseg.trainer import LOG_COLUMNS, LabeledSequence, TrainConfig, train
+from wsseg.trainer import (
+    LOG_COLUMNS,
+    RETIRED_KEYS,
+    RETIRED_LOSS_KEYS,
+    LabeledSequence,
+    TrainConfig,
+    train,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,6 +38,14 @@ def test_readme_train_example_names_every_option():
     assert sorted(section["net"]) == _names(TcnConfig)
     assert sorted(section["loss"]) == _names(LossWeights)
     assert config.to_dict() == section
+    assert config.use_prototypes
+
+
+def test_readme_names_every_retired_key():
+    paragraphs = README.read_text().split("\n\n")
+    (retired,) = [p for p in paragraphs if "were retired" in p]
+    named = set(re.findall(r"`(\w+)`", retired))
+    assert {*RETIRED_KEYS, *RETIRED_LOSS_KEYS, "use_prototypes"} <= named
 
 
 def test_readme_synth_example_runs_with_and_without_seed(tmp_path):

@@ -310,8 +310,7 @@ def test_combined_matches_each_phase_formula_exactly(rng):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("lambda_s", True), ("tau_contrast", True), ("lambda_con", False), ("tau_trunc", "4.0"),
-    ("lambda_conf", None),
+    ("lambda_s", True), ("lambda_con", False), ("lambda_conf", None),
 ])
 def test_weights_reject_a_value_that_is_not_a_number(name, value):
     with pytest.raises(ValueError, match=name):

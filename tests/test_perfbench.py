@@ -52,3 +52,11 @@ def test_tracer_finds_every_wrapped_name(monkeypatch):
         tracer.uninstall()
     restored = [getattr(tracer.modules[mod], attr) for mod, attr, _, _ in tracing.WRAPPED]
     assert all(a is b for a, b in zip(restored, originals))
+
+
+def test_benchmark_configs_use_prototypes(monkeypatch):
+    # both workload configs weight contrast in, as the ablation's variants 3 and 4 do
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    assert all(workloads.full_method_config(v).use_prototypes for v in (3, 4))

@@ -39,6 +39,7 @@ from wsseg.trainer import (
     train,
 )
 
+from accept_corpus import ablation_config
 from loop_reference import make_crops_loop, mix_supervision_loop
 
 
@@ -85,8 +86,9 @@ def test_config_validation():
         _config(epochs_init=9, epochs_max=4)
     with pytest.raises(ValueError):
         _config(lr=-1.0)
-    with pytest.raises(ValueError):
-        _config(epochs_init=1, epochs_max=4, use_prototypes=False)
+    with pytest.raises(ValueError, match="use_prototypes"):  # the pseudo phase needs them
+        TrainConfig.from_dict(dict(_config(epochs_init=1, epochs_max=4).to_dict(),
+                                   use_prototypes=False))
     with pytest.raises(ValueError, match="epochs_max must be >= 0"):
         _config(epochs_init=-2, epochs_max=-1)  # in order, yet no epoch would run
     assert _config(epochs_init=0, epochs_max=0).epochs_max == 0
@@ -108,7 +110,7 @@ def test_config_validation():
 ])
 def test_config_rejects_bad_settings_when_built(name, value):
     with pytest.raises(ValueError, match=name):
-        _config(**{name: value})
+        TrainConfig.from_dict(dict(_config().to_dict(), **{name: value}))
 
 
 def test_config_accepts_numpy_integers():
@@ -139,6 +141,38 @@ def test_retired_config_keys_dropped_at_their_only_value():
             TrainConfig.from_dict(dict(config.to_dict(), **{key: value}))
 
 
+def test_legacy_switch_and_temperatures_load_at_the_values_the_config_implies():
+    config = _config(epochs_init=4)  # phase 1 only; contrast weighted in, so prototypes
+    stored = config.to_dict()
+    loss = stored["loss"]
+    old = dict(stored, use_prototypes=True, loss=dict(loss, tau_trunc=4.0, tau_contrast=0.1))
+    assert TrainConfig.from_dict(json.loads(json.dumps(old))) == config
+    plain = _config(epochs_init=4, loss=LossWeights(lambda_con=0.0))
+    assert TrainConfig.from_dict(dict(plain.to_dict(), use_prototypes=False)) == plain
+    for key, bad in (("use_prototypes", dict(stored, use_prototypes=False)),
+                     ("use_prototypes", dict(stored, use_prototypes=1)),
+                     ("use_prototypes", dict(stored, use_prototypes=None)),
+                     ("use_prototypes", dict(plain.to_dict(), use_prototypes=True)),
+                     ("tau_contrast", dict(stored, loss=dict(loss, tau_contrast=0.2))),
+                     ("tau_trunc", dict(stored, loss=dict(loss, tau_trunc=4)))):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(bad)
+
+
+def test_shipped_configs_derive_their_prototype_switch():
+    assert [ablation_config(v).use_prototypes for v in (1, 2, 3, 4)] == [False, False, True, True]
+    assert ablation_config(4, mixed_fraction=0.5).use_prototypes
+    assert _config().use_prototypes
+    assert all(f.type is not bool for f in dataclasses.fields(TrainConfig))  # derived, not set
+
+
+def test_prototypes_need_two_classes():
+    one = dataclasses.replace(_config().net, num_classes=1)
+    with pytest.raises(ValueError, match="num_classes"):
+        _config(net=one)
+    assert not _config(net=one, epochs_init=4, loss=LossWeights(lambda_con=0.0)).use_prototypes
+
+
 def _rewrite_meta_config(path, **extra):
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
@@ -167,6 +201,22 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
         load_checkpoint(path)
     _rewrite_meta_config(path, include_background_cls=False, lr_period=50)
     with pytest.raises(ValueError, match="lr_period"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_with_a_legacy_switch_or_temperature(tmp_path):
+    config = _config()
+    path = tmp_path / "old.npz"
+    save_checkpoint(new_state(config), path)
+    loss = config.to_dict()["loss"]
+    _rewrite_meta_config(path, use_prototypes=True,
+                         loss=dict(loss, tau_trunc=4.0, tau_contrast=0.1))
+    assert load_checkpoint(path).config == config
+    _rewrite_meta_config(path, use_prototypes=False)
+    with pytest.raises(ValueError, match="use_prototypes"):
+        load_checkpoint(path)
+    _rewrite_meta_config(path, use_prototypes=True, loss=dict(loss, tau_contrast=0.2))
+    with pytest.raises(ValueError, match="tau_contrast"):
         load_checkpoint(path)
 
 
@@ -239,6 +289,20 @@ def test_train_rejects_empty_sets():
         train([], data, _config())
     with pytest.raises(ValueError, match="val_set"):
         train(data, [], _config())
+
+
+def test_train_checks_its_data_before_any_work(monkeypatch):
+    calls = []
+    batch = trainer_mod._train_batch
+    monkeypatch.setattr(trainer_mod, "_train_batch", lambda *a: calls.append(1) or batch(*a))
+    data = _corpus(3, seed=1)
+    with pytest.raises(ValueError, match=r"val_set\[1\] needs 2 channels"):
+        train(data, data[:1] + _corpus(1, seed=2, d=3), _config())
+    wide = _corpus(1, seed=2, c=5)[0]  # labels up to 4 for a 3-class network
+    assert wide.labels.labels.max() >= 3
+    with pytest.raises(ValueError, match=r"train_set\[3\] .* labels in \[0, 3\)"):
+        train(data + [wide], data[:1], _config())
+    assert calls == []
 
 
 def test_non_finite_loss_names_its_diagnostics(monkeypatch, tmp_path):
@@ -481,7 +545,7 @@ def test_warmup_phase_without_prototypes():
     data = _corpus(3, seed=3)
     state, logs = train(
         data, data[:1],
-        _config(epochs_max=2, epochs_init=2, use_prototypes=False,
+        _config(epochs_max=2, epochs_init=2,
                 loss=LossWeights(lambda_con=0.0, lambda_s=0.1, lambda_conf=0.3)),
     )
     assert all(record["phase"] == "warmup" for record in logs)
