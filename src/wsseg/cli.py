@@ -37,6 +37,9 @@ EXIT_CONFIG = 3
 EXIT_MISSING = 4
 EXIT_DATA = 5
 
+# Retired synth keys and the one value each could still hold; class means are N(0, 1).
+RETIRED_SYNTH_KEYS = {"mean_scale": 1.0}
+
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -158,17 +161,18 @@ def cmd_synth(args):
             raise CliError(EXIT_CONFIG, f"invalid synth spec: {name} must be a"
                                         f" non-negative integer, not {value!r}")
     try:
+        trainer_mod.drop_retired(synth, RETIRED_SYNTH_KEYS)
         spec = SyntheticSpec(**synth)
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid synth spec: {exc}")
 
     _out_dir(args.out)
+    if os.listdir(args.out):  # stale sequences would join the new splits
+        raise CliError(EXIT_USAGE, f"output directory {args.out} is not empty")
     root = np.random.SeedSequence(seed)
     means_rng = np.random.default_rng(root.spawn(1)[0])
     if spec.class_means is None:
-        spec.class_means = means_rng.normal(
-            0.0, spec.mean_scale, size=(spec.num_classes, spec.num_channels)
-        )
+        spec.class_means = means_rng.normal(0.0, 1.0, size=(spec.num_classes, spec.num_channels))
     index = 0
     for split, count in counts.items():
         split_dir = os.path.join(args.out, split)

@@ -30,7 +30,7 @@ array a pass makes has it, given output gradients of that dtype.
 """
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -66,18 +66,13 @@ class TcnConfig:
     stages: int = 2
     layers_per_stage: int = 10
     feature_dim: int = 64
-    kernel_width: int = 3
     projector_dim: int = 32
+    kernel_width = 3  # not a field; odd, so symmetric zero padding keeps the length
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.in_dim, self.num_classes, self.stages, self.layers_per_stage) < 1:
+        if min(astuple(self)) < 1:
             raise ValueError("network dimensions must be >= 1")
-        if min(self.feature_dim, self.kernel_width, self.projector_dim) < 1:
-            raise ValueError("network dimensions must be >= 1")
-        if self.kernel_width % 2 == 0:
-            # symmetric padding of dilation * (kernel_width - 1) // 2 keeps T only when odd
-            raise ValueError(f"kernel_width must be odd, got {self.kernel_width}")
 
     def dilation(self, layer: int) -> int:
         return 2 ** layer
@@ -177,10 +172,10 @@ def global_average_pool(z):
     return z.mean(axis=1)
 
 
-def l2_normalize_columns(v, eps=1e-12):
+def l2_normalize_columns(v):
     """Column-wise unit vectors plus the norms needed for the backward pass."""
     norms = np.sqrt((v * v).sum(axis=0))
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, 1e-12)
     return v / safe[None, :], safe
 
 

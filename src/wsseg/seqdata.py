@@ -94,7 +94,7 @@ class SyntheticSpec:
     ``segment_jitter`` adds a per-segment random offset to the class mean
     (within-class execution variability); 0 keeps segments of one class
     identically distributed. When ``class_means`` is None, means are drawn
-    N(0, mean_scale^2) from the generation seed.
+    N(0, 1) from the generation seed.
     """
 
     num_classes: int
@@ -104,7 +104,6 @@ class SyntheticSpec:
     seg_len_max: int
     noise_sigma: float
     class_means: np.ndarray | None = None
-    mean_scale: float = 1.0
     segment_jitter: float = 0.0
 
     def __post_init__(self):
@@ -150,9 +149,12 @@ def load_sequence(path, num_channels, num_classes, id=""):
             if not all(np.isfinite(values)):
                 raise ValueError(f"{path}: line {lineno}: non-finite channel value")
             try:
-                labels.append(int(fields[num_channels]))
+                label = int(fields[num_channels])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-integer label")
+            if not 0 <= label < num_classes:
+                raise ValueError(f"{path}: line {lineno}: label {label} not in [0, {num_classes})")
+            labels.append(label)
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no samples")
@@ -208,7 +210,7 @@ def generate_synthetic(spec, seed):
     rng = np.random.default_rng(seed)
     means = spec.class_means
     if means is None:
-        means = rng.normal(0.0, spec.mean_scale, size=(spec.num_classes, spec.num_channels))
+        means = rng.normal(0.0, 1.0, size=(spec.num_classes, spec.num_channels))
     labels = np.empty(spec.length, dtype=np.int64)
     pos = 0
     prev = -1

@@ -54,14 +54,14 @@ LOSS_KEYS = ("total", "seg", "segall", "cls", "con", "smooth", "conf")
 LOG_COLUMNS = ("epoch", "phase", "lr", *(f"loss_{key}" for key in LOSS_KEYS),
                *(f"val_{key}" for key in SCORES))
 
-# Retired config keys and the one value each could still hold, at the top
-# level and in the ``loss`` section: older checkpoints and configs carry
-# them, and from_dict drops them. A stored ``use_prototypes`` must be the
-# value the rest of its config implies.
-RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
-                "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
-                "include_background_cls": False, "lr_factor": 0.99, "lr_period": 100}
-RETIRED_LOSS_KEYS = {"tau_trunc": losses_mod.TAU_TRUNC, "tau_contrast": contrast_mod.TAU}
+
+def drop_retired(section, retired):
+    """Remove each key of ``retired`` from the config dict ``section``. A
+    retired key may only hold its one value, of the same type (0 == False,
+    yet 0 is not the retired boolean); ``ValueError`` names it otherwise."""
+    for key, only in retired.items():
+        if key in section and (type(v := section.pop(key)), v) != (type(only), only):
+            raise ValueError(f"config key {key!r} is retired; only {json.dumps(only)} is supported")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -85,11 +85,11 @@ class TrainConfig:
     anchor_count: int = 64
     ot_rho: float = 0.1
     ot_sigma: float = 1.0
-    ot_tol: float = 1e-6
     ot_max_iters: int = 5000
     eps_hard: float = 0.5
     mixed_fraction: float = 0.0
     patience: int = 20
+    ot_tol = 1e-6  # Sinkhorn's marginal tolerance; not a field
 
     def __post_init__(self):
         check_fields(self)
@@ -100,7 +100,7 @@ class TrainConfig:
             raise ValueError("epochs_init must be <= epochs_max")
         if self.use_prototypes and self.net.num_classes < 2:
             raise ValueError("prototypes need num_classes >= 2: class 0 is the background")
-        for name in ("lr", "ot_rho", "ot_sigma", "ot_tol"):
+        for name in ("lr", "ot_rho", "ot_sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("proto_momentum", "eps_hard", "mixed_fraction"):
@@ -120,16 +120,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        loss = dict(d.pop("loss", {}))
-        for section, retired in ((d, RETIRED_KEYS), (loss, RETIRED_LOSS_KEYS)):
-            for key, only in retired.items():
-                # type and value: 0 == False, yet 0 is not the retired boolean
-                if key in section and (type(v := section.pop(key)), v) != (type(only), only):
-                    raise ValueError(
-                        f"config key {key!r} is retired; only {json.dumps(only)} is supported"
-                    )
-        net = TcnConfig(**d.pop("net"))
-        config = cls(net=net, loss=LossWeights(**loss),
+        net, loss = dict(d.pop("net")), dict(d.pop("loss", {}))
+        for section, retired in ((d, RETIRED_KEYS), (net, RETIRED_NET_KEYS),
+                                 (loss, RETIRED_LOSS_KEYS)):
+            drop_retired(section, retired)
+        config = cls(net=TcnConfig(**net), loss=LossWeights(**loss),
                      **{k: v for k, v in d.items() if k != "use_prototypes"})
         implied = config.use_prototypes
         stored = d.get("use_prototypes", implied)
@@ -140,6 +135,18 @@ class TrainConfig:
 
     def to_dict(self):
         return asdict(self)
+
+
+# Retired config keys and the one value each could still hold, at the top
+# level and in the ``net`` and ``loss`` sections: older checkpoints and
+# configs carry them, and from_dict drops them. A stored ``use_prototypes``
+# must be the value the rest of its config implies.
+RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
+                "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+                "include_background_cls": False, "lr_factor": 0.99, "lr_period": 100,
+                "ot_tol": TrainConfig.ot_tol}
+RETIRED_NET_KEYS = {"kernel_width": TcnConfig.kernel_width}
+RETIRED_LOSS_KEYS = {"tau_trunc": losses_mod.TAU_TRUNC, "tau_contrast": contrast_mod.TAU}
 
 
 @dataclass
@@ -453,9 +460,9 @@ def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
     was written."""
     if diag_dir is None:
         return None
-    os.makedirs(diag_dir, exist_ok=True)
     path = os.path.join(diag_dir, f"diverged_seq{crop.seq_idx}_{crop.start}_{crop.stop}.npz")
     try:
+        os.makedirs(diag_dir, exist_ok=True)
         np.savez(
             path,
             x=x,

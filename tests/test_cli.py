@@ -29,7 +29,6 @@ CONFIG = {
         "seg_len_min": 40,
         "seg_len_max": 80,
         "noise_sigma": 0.0,
-        "mean_scale": 1.0,
         "seed": 3,
         "n_train": 6,
         "n_val": 2,
@@ -219,6 +218,12 @@ def test_checkpoint_with_a_legacy_prototype_switch(pipeline, tmp_path, capsys):
     assert "use_prototypes" in capsys.readouterr().err
 
 
+def test_synth_drops_a_retired_key_at_its_value(tmp_path):
+    sequence = ("train", "seq_000.csv")
+    assert (_synth(tmp_path, "now").joinpath(*sequence).read_bytes()
+            == _synth(tmp_path, "old", mean_scale=1.0).joinpath(*sequence).read_bytes())
+
+
 def test_pseudo_names_only_the_classes_without_a_prototype(pipeline, tmp_path, capsys):
     _, _, data, run, _ = pipeline
     state = trainer_mod.load_checkpoint(run / "checkpoint.npz")
@@ -374,6 +379,41 @@ def test_synth_deterministic(tmp_path):
     assert fa.read_bytes() == fb.read_bytes()
 
 
+def test_synth_refuses_an_out_that_is_not_empty(tmp_path, capsys):
+    config = dict(CONFIG, synth=dict(CONFIG["synth"], n_train=5))
+    out = tmp_path / "out"
+    assert main(_synth_argv(tmp_path, config)) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    fewer = dict(CONFIG, synth=dict(CONFIG["synth"], n_train=2))
+    assert main(_synth_argv(tmp_path, fewer)) == EXIT_USAGE
+    assert str(out) in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert json.loads((out / "meta.json").read_text())["splits"]["train"] == 5
+
+
+def test_synth_refuses_an_out_holding_a_split_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "train").write_text(BLOCKER)
+    assert main(_synth_argv(tmp_path, CONFIG)) == EXIT_USAGE
+    assert str(out) in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["train"]
+    assert (out / "train").read_text() == BLOCKER
+
+
+def test_load_dataset_skips_entries_that_are_not_csv(pipeline, tmp_path):
+    _, _, data, _, _ = pipeline
+    split = tmp_path / "data" / "test"
+    shutil.copytree(data, tmp_path / "data")
+    (split / "notes.txt").write_text("not a sequence\n")
+    (split / "older").mkdir()
+    net = net_mod.TcnConfig(**CONFIG["train"]["net"])
+    items = load_dataset(str(split), net, EXIT_DATA)
+    want = load_dataset(str(data / "test"), net, EXIT_DATA)
+    assert [item.sequence.id for item in items] == [item.sequence.id for item in want]
+    assert all(np.array_equal(a.sequence.data, b.sequence.data) for a, b in zip(items, want))
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     for sub in ("synth", "train", "eval", "pseudo", "cams", "report"):
@@ -440,6 +480,8 @@ def test_legacy_prototype_switch_must_match_the_config(tmp_path, capsys):
 @pytest.mark.parametrize("field, train", [
     ("lr_period", dict(CONFIG["train"], lr_period=0)),
     ("kernel_width", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], kernel_width=2))),
+    ("kernel_width", dict(CONFIG["train"], net=dict(CONFIG["train"]["net"], kernel_width=5))),
+    ("ot_tol", dict(CONFIG["train"], ot_tol=1e-7)),
     ("epochs_max", dict(CONFIG["train"], epochs_max=30.0)),
     ("batch_size", dict(CONFIG["train"], batch_size=2.5)),
     ("batch_size", dict(CONFIG["train"], batch_size=True)),
@@ -451,9 +493,10 @@ def test_legacy_prototype_switch_must_match_the_config(tmp_path, capsys):
     ("tau_contrast", dict(CONFIG["train"], loss=dict(CONFIG["train"]["loss"], tau_contrast=True))),
     ("epochs_init", dict(CONFIG["train"], epochs_init=-3, epochs_max=2)),
     ("epochs_max", dict(CONFIG["train"], epochs_init=-2, epochs_max=-1)),
-], ids=["lr_period", "kernel_width", "epochs_max-float", "batch_size-float", "batch_size-bool",
-        "proto_k-float", "use_prototypes-string", "feature_dim-float", "lr-bool", "eps_hard-bool",
-        "tau_contrast-bool", "epochs_init-negative", "epochs_max-negative"])
+], ids=["lr_period", "kernel_width", "kernel_width-5", "ot_tol", "epochs_max-float",
+        "batch_size-float", "batch_size-bool", "proto_k-float", "use_prototypes-string",
+        "feature_dim-float", "lr-bool", "eps_hard-bool", "tau_contrast-bool",
+        "epochs_init-negative", "epochs_max-negative"])
 def test_bad_train_setting_is_a_config_error(tmp_path, capsys, field, train):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": train}))
@@ -533,6 +576,15 @@ def _edited_checkpoint(tmp_path, checkpoint, edit, command, split):
             "--out", str(tmp_path / "out")]
 
 
+def _meta_edit(edit):
+    """An ``_edited_checkpoint`` edit that applies ``edit`` to the decoded meta blob."""
+    def apply(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+    return apply
+
+
 def _copied_data(tmp_path, data, drop):
     """A copy of the dataset ``data`` without the files matching ``drop``."""
     shutil.copytree(data, tmp_path / "data", ignore=shutil.ignore_patterns(drop))
@@ -556,6 +608,8 @@ MALFORMED = {
         t, {"synth": dict(CONFIG["synth"], length=True)})),
     "synth-bool-noise": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
         t, {"synth": dict(CONFIG["synth"], noise_sigma=True)})),
+    "synth-retired-mean-scale": (EXIT_CONFIG, lambda t, d, c: _synth_argv(
+        t, {"synth": dict(CONFIG["synth"], mean_scale=2.0)})),
     "synth-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _synth_argv(
         t, CONFIG, "--seed", "-1")),
     "train-negative-seed-flag": (EXIT_USAGE, lambda t, d, c: _train_argv(
@@ -593,6 +647,13 @@ MALFORMED = {
     "checkpoint-integer-bank-flags": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
         t, c, lambda a: a.update({"bank.initialized": a["bank.initialized"].astype(np.int8)}),
         "pseudo", d / "train")),
+    "checkpoint-version-2": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, _meta_edit(lambda m: m.update(version=2)), "eval", d / "test")),
+    "checkpoint-retired-ot-tol": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, _meta_edit(lambda m: m["config"].update(ot_tol=1e-7)), "eval", d / "test")),
+    "checkpoint-retired-kernel-width": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, _meta_edit(lambda m: m["config"]["net"].update(kernel_width=5)), "pseudo",
+        d / "train")),
     "train-data-without-meta": (EXIT_MISSING, lambda t, d, c: _train_argv(
         t, _copied_data(t, d, "meta.json"), CONFIG)),
     "eval-split-without-csv": (EXIT_DATA, lambda t, d, c: [

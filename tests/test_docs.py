@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from wsseg.cli import main
+from wsseg.cli import RETIRED_SYNTH_KEYS, main
 from wsseg.losses import LossWeights
 from wsseg.net import TcnConfig
 from wsseg.seqdata import SyntheticSpec, generate_synthetic
@@ -13,6 +13,7 @@ from wsseg.trainer import (
     LOG_COLUMNS,
     RETIRED_KEYS,
     RETIRED_LOSS_KEYS,
+    RETIRED_NET_KEYS,
     LabeledSequence,
     TrainConfig,
     train,
@@ -45,11 +46,14 @@ def test_readme_names_every_retired_key():
     paragraphs = README.read_text().split("\n\n")
     (retired,) = [p for p in paragraphs if "were retired" in p]
     named = set(re.findall(r"`(\w+)`", retired))
-    assert {*RETIRED_KEYS, *RETIRED_LOSS_KEYS, "use_prototypes"} <= named
+    retired_keys = (*RETIRED_KEYS, *RETIRED_NET_KEYS, *RETIRED_LOSS_KEYS, *RETIRED_SYNTH_KEYS)
+    assert {*retired_keys, "use_prototypes"} <= named
 
 
 def test_readme_synth_example_runs_with_and_without_seed(tmp_path):
     synth = dict(_config_example()["synth"], n_train=1, n_val=1, n_test=1)
+    counts = {"seed", "n_train", "n_val", "n_test"}
+    assert sorted(synth.keys() - counts) == [n for n in _names(SyntheticSpec) if n != "class_means"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": synth}))
     for out, extra, seed in (("own", [], synth["seed"]), ("flag", ["--seed", "4"], 4)):

@@ -123,16 +123,9 @@ def test_the_three_passes_agree_bitwise(stages, t_len, dtype):
     assert all(a.dtype == dtype for a in [*probs, *heads, *kept])
 
 
-@pytest.mark.parametrize("kernel_width", [2, 4])
-def test_config_rejects_even_kernel_width(kernel_width):
-    with pytest.raises(ValueError, match="kernel_width"):
-        net.TcnConfig(in_dim=3, num_classes=2, stages=1, layers_per_stage=2, feature_dim=4,
-                      kernel_width=kernel_width)
-
-
 @pytest.mark.parametrize("name, value", [
     ("in_dim", 3.0), ("num_classes", True), ("stages", "1"), ("layers_per_stage", None),
-    ("feature_dim", 8.0), ("kernel_width", 3.0), ("projector_dim", 4.5),
+    ("feature_dim", 8.0), ("projector_dim", 4.5),
 ])
 def test_config_rejects_non_integer_dimensions(name, value):
     dims = dict(in_dim=3, num_classes=2, stages=1, layers_per_stage=2, feature_dim=4)

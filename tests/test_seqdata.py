@@ -74,10 +74,12 @@ def test_load_sequence_row_without_label_names_line(tmp_path, text):
     ("0.5,,1", "non-numeric channel value"),
     (",0.5,1", "non-numeric channel value"),
     ("0.5,0.7,", "non-integer label"),
+    ("0.5,0.7,3", "label 3 not in [0, 3)"),
+    ("0.5,0.7,-1", "label -1 not in [0, 3)"),
 ])
 def test_load_sequence_empty_cell_names_line(tmp_path, row, error):
-    """Every cell counts: an empty one is an error, and only a row of empty
-    cells is skipped."""
+    """Every cell counts: an empty one or a label out of range is an error,
+    and only a row of empty cells is skipped."""
     path = tmp_path / "holes.csv"
     path.write_text(f"1.0,2.0,0\n,,\n\n{row}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: {error}")):
@@ -205,7 +207,7 @@ def _spec(**kw):
 
 @pytest.mark.parametrize("name, value", [
     ("length", 2.5), ("length", True), ("num_classes", 3.0), ("seg_len_max", "12"),
-    ("noise_sigma", True), ("mean_scale", "1.0"), ("segment_jitter", False),
+    ("noise_sigma", True), ("segment_jitter", False),
 ])
 def test_spec_rejects_a_value_of_the_wrong_type(name, value):
     with pytest.raises(ValueError, match=name):

@@ -127,18 +127,35 @@ def test_config_dict_round_trip():
 
 def test_retired_config_keys_dropped_at_their_only_value():
     config = _config()
-    old = dict(config.to_dict(), pseudo_per_batch=False, normalize_cams=True,
+    stored = config.to_dict()
+    old = dict(stored, pseudo_per_batch=False, normalize_cams=True,
                adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, include_background_cls=False,
-               lr_factor=0.99, lr_period=100)
+               lr_factor=0.99, lr_period=100, ot_tol=1e-6,
+               net=dict(stored["net"], kernel_width=3))
     assert TrainConfig.from_dict(old) == config
     assert TrainConfig.from_dict(json.loads(json.dumps(old))) == config
     for key, value in (("pseudo_per_batch", True), ("normalize_cams", False),
                        ("pseudo_per_batch", 0), ("normalize_cams", 1),
                        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6),
                        ("include_background_cls", True), ("include_background_cls", 0),
-                       ("lr_factor", 0.5), ("lr_period", 50), ("lr_period", 100.0)):
+                       ("lr_factor", 0.5), ("lr_period", 50), ("lr_period", 100.0),
+                       ("ot_tol", 1e-7), ("ot_tol", 1)):
         with pytest.raises(ValueError, match=key):
-            TrainConfig.from_dict(dict(config.to_dict(), **{key: value}))
+            TrainConfig.from_dict(dict(stored, **{key: value}))
+    for width in (5, 2, 3.0, True):
+        with pytest.raises(ValueError, match="kernel_width"):
+            TrainConfig.from_dict(dict(stored, net=dict(stored["net"], kernel_width=width)))
+
+
+def test_constants_are_readable_but_not_settable():
+    config = _config()
+    assert (config.ot_tol, config.net.kernel_width) == (1e-6, 3)
+    assert "ot_tol" not in config.to_dict() and "kernel_width" not in config.to_dict()["net"]
+    assert len(dataclasses.fields(TrainConfig)) == 17 and len(dataclasses.fields(TcnConfig)) == 6
+    for build in (lambda: _config(ot_tol=1e-7), lambda: dataclasses.replace(config, ot_tol=1e-7),
+                  lambda: TcnConfig(in_dim=2, num_classes=3, kernel_width=5)):
+        with pytest.raises(TypeError, match="ot_tol|kernel_width"):
+            build()
 
 
 def test_legacy_switch_and_temperatures_load_at_the_values_the_config_implies():
@@ -201,6 +218,15 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
         load_checkpoint(path)
     _rewrite_meta_config(path, include_background_cls=False, lr_period=50)
     with pytest.raises(ValueError, match="lr_period"):
+        load_checkpoint(path)
+    net = config.to_dict()["net"]
+    _rewrite_meta_config(path, lr_period=100, ot_tol=1e-6, net=dict(net, kernel_width=3))
+    assert load_checkpoint(path).config == config
+    _rewrite_meta_config(path, ot_tol=1e-7)
+    with pytest.raises(ValueError, match="ot_tol"):
+        load_checkpoint(path)
+    _rewrite_meta_config(path, ot_tol=1e-6, net=dict(net, kernel_width=5))
+    with pytest.raises(ValueError, match="kernel_width"):
         load_checkpoint(path)
 
 
@@ -315,6 +341,20 @@ def test_non_finite_loss_names_its_diagnostics(monkeypatch, tmp_path):
     assert len(written) == 1 and str(written[0]) in str(info.value)
     with pytest.raises(NonFiniteLossError, match="no diagnostics written"):
         train(data, data[:1], _config())
+
+
+@pytest.mark.parametrize("below", [(), ("diag",)])
+def test_non_finite_loss_is_reported_when_diagnostics_cannot_be_written(monkeypatch, tmp_path,
+                                                                       below):
+    # diag_dir is an existing file, or a path under one
+    monkeypatch.setattr(losses_mod, "combined", lambda *args: float("nan"))
+    data = _corpus(2, seed=1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    with pytest.warns(UserWarning, match="could not write diagnostics"):
+        with pytest.raises(NonFiniteLossError, match="no diagnostics written"):
+            train(data, data[:1], _config(), diag_dir=str(blocker.joinpath(*below)))
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_mix_supervision_counts(rng):
