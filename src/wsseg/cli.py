@@ -133,6 +133,14 @@ def _out_dir(path):
         raise CliError(EXIT_USAGE, f"cannot create output directory {path}: {exc.strerror}")
 
 
+def _empty_out_dir(path):
+    """``_out_dir``, and exit 2 unless the directory is empty: the files of
+    an earlier run would sit beside the new ones."""
+    _out_dir(path)
+    if os.listdir(path):
+        raise CliError(EXIT_USAGE, f"output directory {path} is not empty")
+
+
 def _section(path, name):
     """The ``name`` section of the JSON config at ``path``, as a new dict.
     Exits 4 when the file is missing and 3 unless the file's top level and
@@ -166,9 +174,7 @@ def cmd_synth(args):
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid synth spec: {exc}")
 
-    _out_dir(args.out)
-    if os.listdir(args.out):  # stale sequences would join the new splits
-        raise CliError(EXIT_USAGE, f"output directory {args.out} is not empty")
+    _empty_out_dir(args.out)  # stale sequences would join the new splits
     root = np.random.SeedSequence(seed)
     means_rng = np.random.default_rng(root.spawn(1)[0])
     if spec.class_means is None:
@@ -269,14 +275,14 @@ def _checkpoint_inputs(args):
     """The state at ``--checkpoint`` and the dataset at ``--data`` that
     ``eval``, ``pseudo`` and ``cams`` read, with ``--out`` created. Exits 5
     when either cannot be read or the dataset's shape is not the network's,
-    and 2 when ``--out`` cannot be created."""
+    and 2 when ``--out`` cannot be created or is not empty."""
     path = _require(args.checkpoint, "checkpoint")
     try:
         state = load_checkpoint(path)
     except (ValueError, KeyError, TypeError, zipfile.BadZipFile, OSError) as exc:
         raise CliError(EXIT_DATA, f"cannot read checkpoint {path}: {exc}")
     data = load_dataset(args.data, state.config.net, EXIT_DATA)
-    _out_dir(args.out)
+    _empty_out_dir(args.out)
     return state, data
 
 

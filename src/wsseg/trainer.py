@@ -12,6 +12,13 @@ fixed seed, checkpointable, and exactly resumable.
 
 A run's settings have one home, ``TrainState.config``: ``train`` sets
 it, the helpers read it, and a checkpoint records it.
+
+The parameters, Adam moments and prototypes are float64, and so is a
+checkpoint. Only the gradient step's network passes run in float32: each
+batch casts the parameters to a float32 working copy, the network outputs
+up to float64 for the objective, and its output gradients down to float32
+for ``net.backward``; the crops' gradients add up in float64. Validation
+and pseudo-labels run the float64 parameters.
 """
 
 import contextlib
@@ -355,15 +362,29 @@ def _regenerate_pseudo(train_set, annotations, supervised, state):
     return targets
 
 
+def _cast(heads, dtype):
+    """A copy of ``heads``, a ``NetworkOutputs`` or ``OutputGrads``, with
+    every array in it cast to ``dtype``; Nones stay."""
+    def cast(value):
+        if isinstance(value, list):
+            return [cast(v) for v in value]
+        return None if value is None else value.astype(dtype)
+
+    return type(heads)(**{name: cast(value) for name, value in vars(heads).items()})
+
+
 def _train_batch(batch, train_set, state, targets, diag_dir):
     """One Adam step on the batch's mean gradient; returns the batch mean of
-    each loss part."""
-    config, params = state.config, state.params
-    grad_sum = {k: np.zeros_like(v) for k, v in params.items()}
+    each loss part. The network passes run on a float32 copy of the
+    parameters; the objective and the gradient sum are float64."""
+    config = state.config
+    params = {k: v.astype(np.float32) for k, v in state.params.items()}
+    grad_sum = {k: np.zeros_like(v) for k, v in state.params.items()}
     parts_sum = dict.fromkeys(LOSS_KEYS, 0.0)
     for crop in batch:
         x = train_set[crop.seq_idx].sequence.data[:, crop.start : crop.stop]
         outputs, cache = net_mod.forward_cached(x, params, config.net)
+        outputs = _cast(outputs, np.float64)
         target = targets[crop.seq_idx]
         y_tilde = None if target is None else target[:, crop.start : crop.stop]
         parts, grads = _crop_objective(crop, outputs, state, y_tilde)
@@ -374,7 +395,7 @@ def _train_batch(batch, train_set, state, targets, diag_dir):
                 f"non-finite loss at epoch {state.epoch + 1}, sequence {crop.seq_idx}"
                 f" crop [{crop.start}, {crop.stop}); {where}"
             )
-        net_mod.backward(grads, cache, params, config.net, grad_sum)
+        net_mod.backward(_cast(grads, np.float32), cache, params, config.net, grad_sum)
         for key in LOSS_KEYS:
             parts_sum[key] += parts[key]
 

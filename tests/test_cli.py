@@ -401,6 +401,22 @@ def test_synth_refuses_an_out_holding_a_split_file(tmp_path, capsys):
     assert (out / "train").read_text() == BLOCKER
 
 
+@pytest.mark.parametrize("command, split", [("eval", "test"), ("pseudo", "train"),
+                                            ("cams", "test")])
+def test_checkpoint_commands_refuse_an_out_that_is_not_empty(pipeline, tmp_path, capsys,
+                                                             command, split):
+    # an earlier run's per-sequence files would sit beside the new ones
+    _, _, data, run, _ = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ribbon_seq_009.svg").write_text(BLOCKER)
+    assert main([command, "--checkpoint", str(run / "checkpoint.npz"),
+                 "--data", str(data / split), "--out", str(out)]) == EXIT_USAGE
+    assert f"output directory {out} is not empty" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["ribbon_seq_009.svg"]
+    assert (out / "ribbon_seq_009.svg").read_text() == BLOCKER
+
+
 def test_load_dataset_skips_entries_that_are_not_csv(pipeline, tmp_path):
     _, _, data, _, _ = pipeline
     split = tmp_path / "data" / "test"

@@ -39,7 +39,7 @@ from wsseg.trainer import (
     train,
 )
 
-from accept_corpus import ablation_config
+from accept_corpus import ablation_config, build_corpus
 from loop_reference import make_crops_loop, mix_supervision_loop
 
 
@@ -750,6 +750,104 @@ def test_logged_objective_is_the_function_whose_gradient_is_applied(monkeypatch)
             numeric = (total(1e-6) - total(-1e-6)) / 2e-6
             analytic = sum(float((g * d).sum()) for g, d in zip(grad, direction))
             assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+def _dtypes(arrays):
+    return {a.dtype for a in arrays if a is not None}
+
+
+def test_only_the_gradient_step_runs_in_float32(monkeypatch):
+    # what the network passes and the float64 readers of the parameters get,
+    # over one timestamp and one pseudo epoch
+    seen = {"net": set(), "grads": set(), "acc": set(), "outputs": set(), "masters": set()}
+    forward_cached, backward = net_mod.forward_cached, net_mod.backward
+    objective = trainer_mod._crop_objective
+    pseudo, evaluate_ = trainer_mod.generate_pseudo_for_sequence, trainer_mod.evaluate
+
+    def forward_cached_spy(x, params, config):
+        seen["net"] |= _dtypes(params.values())
+        return forward_cached(x, params, config)
+
+    def backward_spy(grads, cache, params, config, acc=None):
+        seen["net"] |= _dtypes(params.values())
+        seen["grads"] |= _dtypes([grads.dz, grads.dy_s_logits, grads.dv, *grads.dy_prob])
+        seen["acc"] |= _dtypes(acc.values())
+        return backward(grads, cache, params, config, acc)
+
+    def objective_spy(crop, outputs, state, y_tilde):
+        seen["outputs"] |= _dtypes([outputs.z, outputs.y_s_logits, outputs.v, *outputs.y_prob])
+        return objective(crop, outputs, state, y_tilde)
+
+    def masters_spy(reader):
+        def spy(*args):
+            state = next(a for a in args if isinstance(a, TrainState))
+            seen["masters"] |= _dtypes(state.params.values())
+            return reader(*args)
+        return spy
+
+    monkeypatch.setattr(net_mod, "forward_cached", forward_cached_spy)
+    monkeypatch.setattr(net_mod, "backward", backward_spy)
+    monkeypatch.setattr(trainer_mod, "_crop_objective", objective_spy)
+    monkeypatch.setattr(trainer_mod, "generate_pseudo_for_sequence", masters_spy(pseudo))
+    monkeypatch.setattr(trainer_mod, "evaluate", masters_spy(evaluate_))
+    data = _corpus(4, seed=8)
+    state, logs = train(data, data[:1], _config(epochs_max=2, epochs_init=1))
+    assert [r["phase"] for r in logs] == ["timestamp", "pseudo"]
+    assert logs[1]["loss_segall"] > 0.0  # the pseudo epoch trained on its labels
+    f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+    assert seen == {"net": f32, "grads": f32, "acc": f64, "outputs": f64, "masters": f64}
+    for arrays in (state.params, state.adam_m, state.adam_v):
+        assert _dtypes(arrays.values()) == f64
+    assert state.bank.p.dtype == np.float64
+
+
+def _relu_masks(cache):
+    return [a > 0.0 for relus in cache.relu_lists for a in relus] + [cache.proj_hidden > 0.0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_batch_gradient_is_within_rounding_of_float64(monkeypatch, seed):
+    # a batch of eight T=1024 acceptance crops through the acceptance network
+    # at init seed ``seed``, each with fixed output gradients: the gradient
+    # _train_batch hands to Adam against the float64 passes' on the same crops
+    config = ablation_config(4, seed=seed)
+    state = new_state(config)
+    data = build_corpus()[0][:config.batch_size]
+    batch = [trainer_mod._Crop(i, 0, 1024, None, None, None) for i in range(len(data))]
+
+    def output_grads(crop, outputs):
+        g = np.random.default_rng([seed, crop.seq_idx])
+        return net_mod.OutputGrads(dy_prob=[g.normal(size=y.shape) for y in outputs.y_prob],
+                                   dy_s_logits=g.normal(size=outputs.y_s_logits.shape),
+                                   dv=g.normal(size=outputs.v.shape))
+
+    applied, caches, forward_cached = {}, [], net_mod.forward_cached
+
+    def forward_cached_spy(*args):
+        outputs, cache = forward_cached(*args)
+        caches.append(cache)
+        return outputs, cache
+
+    monkeypatch.setattr(net_mod, "forward_cached", forward_cached_spy)
+    monkeypatch.setattr(trainer_mod, "_crop_objective", lambda crop, outputs, *args: (
+        dict.fromkeys(trainer_mod.LOSS_KEYS, 0.0), output_grads(crop, outputs)))
+    monkeypatch.setattr(trainer_mod, "_adam_step", lambda state, grads: applied.update(grads))
+    trainer_mod._train_batch(batch, data, state, [None] * len(data), None)
+
+    exact = {k: np.zeros_like(v) for k, v in state.params.items()}
+    for crop, cache32 in zip(batch, caches, strict=True):
+        x = data[crop.seq_idx].sequence.data[:, crop.start : crop.stop]
+        outputs, cache = forward_cached(x, state.params, config.net)
+        # a pre-activation that rounds across zero changes the gradient by more
+        # than rounding; these crops have none, so the bound below is rounding's
+        for m32, m64 in zip(_relu_masks(cache32), _relu_masks(cache), strict=True):
+            np.testing.assert_array_equal(m32, m64)
+        net_mod.backward(output_grads(crop, outputs), cache, state.params, config.net, exact)
+    got = np.concatenate([applied[k].ravel() * len(batch) for k in exact])
+    want = np.concatenate([v.ravel() for v in exact.values()])
+    assert got.dtype == np.float64
+    error = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert error <= 64 * np.finfo(np.float32).eps
 
 
 @pytest.mark.parametrize("edit, key, what", [
