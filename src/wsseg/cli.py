@@ -124,19 +124,15 @@ def _require(path, what):
     return path
 
 
-def _out_dir(path):
+def _empty_out_dir(path):
     """Create the ``--out`` directory ``path`` if needed. Exits 2 when it
-    cannot be, for instance when it is a file or lies under one."""
+    cannot be, for instance when it is a file or lies under one, and when
+    it is not empty: the files of an earlier run would sit beside the new
+    ones."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot create output directory {path}: {exc.strerror}")
-
-
-def _empty_out_dir(path):
-    """``_out_dir``, and exit 2 unless the directory is empty: the files of
-    an earlier run would sit beside the new ones."""
-    _out_dir(path)
     if os.listdir(path):
         raise CliError(EXIT_USAGE, f"output directory {path} is not empty")
 
@@ -249,7 +245,7 @@ def cmd_train(args):
         raise CliError(EXIT_CONFIG, f"invalid train config: {exc}")
     train_set = load_dataset(os.path.join(args.data, "train"), config.net, EXIT_CONFIG)
     val_set = load_dataset(os.path.join(args.data, "val"), config.net, EXIT_CONFIG)
-    _out_dir(args.out)
+    _empty_out_dir(args.out)
     state, logs = trainer_mod.train(train_set, val_set, config, diag_dir=args.out)
     save_checkpoint(state, os.path.join(args.out, "checkpoint.npz"))
     write_log_csv(os.path.join(args.out, "train_log.csv"), logs)

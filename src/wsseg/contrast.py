@@ -57,34 +57,27 @@ def _empty(num_classes):
 
 def _choices(rng, rows, pop, keep):
     """``[rng.choice(pop, keep, replace=False) for _ in range(rows)]`` as
-    one (rows, keep) int64 array, from one draw of 32-bit words.
+    one (rows, keep) int64 array, from one ``rng.integers`` draw.
 
     numpy draws each subset by Floyd's algorithm (step j in
     [pop - keep, pop) takes a uniform integer in [0, j], or j itself when
     that one is already taken) and then a Fisher-Yates shuffle (step i
     from keep - 1 down to 1 swaps i with a uniform integer in [0, i]).
-    A uniform integer in [0, n) is Lemire's ``(word * n) >> 32`` of the
-    bit generator's next 32-bit word; n = 1 (j = 0) takes no word.
-    ``rng.integers(0, 2**32, dtype=np.uint32)`` hands out the same words
-    in the same order, one the generator holds buffered included, so every
-    row is replayed at once. When any draw would hit Lemire's rejection
-    branch (probability under pop / 2**32 per draw), or numpy would take
-    its tail-shuffle branch (pop above 10,000), the state is restored and
-    the rows are drawn one call at a time.
+    ``rng.integers`` over those bounds, one row per subset, draws the same
+    integers in the same order (a bound of 1 draws nothing), so every row
+    is replayed at once. Above a population of 10,000 numpy may shuffle a
+    tail instead, and the rows are drawn one call at a time.
     """
-    saved = rng.bit_generator.state
-    steps = range(pop - keep, pop)
-    # the exclusive bound of each draw of a row: Floyd's j + 1, then the shuffle's i + 1
-    bounds = np.array([j + 1 for j in steps if j] + list(range(keep, 1, -1)), dtype=np.uint64)
-    scaled = rng.integers(0, 2 ** 32, size=(rows, bounds.size), dtype=np.uint32) * bounds
-    if pop > 10_000 or np.any(scaled.astype(np.uint32) < np.uint64(2 ** 32) % bounds):
-        rng.bit_generator.state = saved
+    if pop > 10_000:
         picks = [rng.choice(pop, size=keep, replace=False) for _ in range(rows)]
         return np.array(picks, dtype=np.int64).reshape(rows, keep)
-    draws = iter((scaled >> np.uint64(32)).astype(np.int64).T)
+    steps = range(pop - keep, pop)
+    # the exclusive bound of each draw of a row: Floyd's j + 1, then the shuffle's i + 1
+    bounds = np.array([*range(pop - keep + 1, pop + 1), *range(keep, 1, -1)], dtype=np.int64)
+    draws = iter(rng.integers(0, bounds, size=(rows, bounds.size)).T)
     out = np.empty((rows, keep), dtype=np.int64)
     for k, j in enumerate(steps):
-        val = next(draws) if j else np.zeros(rows, dtype=np.int64)
+        val = next(draws)
         out[:, k] = np.where((out[:, :k] == val[:, None]).any(axis=1), j, val) if k else val
     r = np.arange(rows)
     for i in range(keep - 1, 0, -1):

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MOMENTUM = 0.9  # the weight of a fresh estimate in training's bank update
+
 
 @dataclass
 class PrototypeBank:

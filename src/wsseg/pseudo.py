@@ -19,21 +19,6 @@ class PseudoLabels:
     hard_mask: np.ndarray  # (T,) True where the column is a hard one-hot
 
 
-def count_assignments(q, lo, hi, class_a, class_b):
-    """Two-class restricted argmax counts over rows lo..hi inclusive.
-
-    A row goes to ``class_a`` when ``q[t, a] >= q[t, b]`` (ties favor the
-    earlier class). The counts always sum to the interval length.
-    """
-    if class_a == class_b:
-        raise ValueError("classes must differ")
-    if lo > hi:
-        return 0, 0
-    rows = q[lo : hi + 1]
-    n_a = int(np.count_nonzero(rows[:, class_a] >= rows[:, class_b]))
-    return n_a, (hi - lo + 1) - n_a
-
-
 def generate(q, annotations, eps_hard):
     """Build pseudo-labels for a full sequence.
 
@@ -75,8 +60,10 @@ def generate(q, annotations, eps_hard):
             y[a, t_n + 1 : t_next] = 1.0
             hard[t_n + 1 : t_next] = True
             continue
-        n_a, n_b = count_assignments(q, t_n + 1, t_next - 1, a, b)
-        # interior = n_a + n_b and eps_hard <= 1, so the hard ends never overlap
+        # the two-class restricted argmax; ties go to the earlier class a
+        n_a = np.count_nonzero(q[t_n + 1 : t_next, a] >= q[t_n + 1 : t_next, b])
+        n_b = interior - n_a
+        # eps_hard <= 1, so the hard ends never overlap
         soft_lo = t_n + 1 + int(np.floor(eps_hard * n_a))
         soft_hi = t_next - int(np.floor(eps_hard * n_b))
         y[a, t_n + 1 : soft_lo] = 1.0

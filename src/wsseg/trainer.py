@@ -34,6 +34,7 @@ from . import contrast as contrast_mod
 from . import losses as losses_mod
 from . import net as net_mod
 from . import otrans as otrans_mod
+from . import proto as proto_mod
 from . import pseudo as pseudo_mod
 from .metrics import SCORES, evaluate_many
 from .net import TcnConfig, check_fields
@@ -88,7 +89,6 @@ class TrainConfig:
     crop_len: int = 512
     seed: int = 0
     proto_k: int = 8
-    proto_momentum: float = 0.9
     anchor_count: int = 64
     ot_rho: float = 0.1
     ot_sigma: float = 1.0
@@ -110,7 +110,7 @@ class TrainConfig:
         for name in ("lr", "ot_rho", "ot_sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("proto_momentum", "eps_hard", "mixed_fraction"):
+        for name in ("eps_hard", "mixed_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("batch_size", "crop_len", "proto_k", "anchor_count", "patience",
@@ -151,7 +151,7 @@ class TrainConfig:
 RETIRED_KEYS = {"pseudo_per_batch": False, "normalize_cams": True,
                 "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
                 "include_background_cls": False, "lr_factor": 0.99, "lr_period": 100,
-                "ot_tol": TrainConfig.ot_tol}
+                "ot_tol": TrainConfig.ot_tol, "proto_momentum": proto_mod.MOMENTUM}
 RETIRED_NET_KEYS = {"kernel_width": TcnConfig.kernel_width}
 RETIRED_LOSS_KEYS = {"tau_trunc": losses_mod.TAU_TRUNC, "tau_contrast": contrast_mod.TAU}
 
@@ -445,7 +445,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 vn, cam_weights[cls_idx], np.flatnonzero(member), config.proto_k
             )
             if est is not None:
-                update_bank(state.bank, cls_idx, est, config.proto_momentum)
+                update_bank(state.bank, cls_idx, est, proto_mod.MOMENTUM)
 
         if weights.weight("con") > 0:
             mined = contrast_mod.mine_pairs(

@@ -417,6 +417,18 @@ def test_checkpoint_commands_refuse_an_out_that_is_not_empty(pipeline, tmp_path,
     assert (out / "ribbon_seq_009.svg").read_text() == BLOCKER
 
 
+def test_train_refuses_an_out_that_is_not_empty(pipeline, tmp_path, capsys):
+    # an earlier run's diagnostics would sit beside the new checkpoint and log
+    _, _, data, _, _ = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "diverged_seq0_0_200.npz").write_text(BLOCKER)
+    assert main(_train_argv(tmp_path, data, CONFIG)) == EXIT_USAGE
+    assert f"output directory {out} is not empty" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["diverged_seq0_0_200.npz"]
+    assert (out / "diverged_seq0_0_200.npz").read_text() == BLOCKER
+
+
 def test_load_dataset_skips_entries_that_are_not_csv(pipeline, tmp_path):
     _, _, data, _, _ = pipeline
     split = tmp_path / "data" / "test"
@@ -458,14 +470,15 @@ def test_missing_config_and_checkpoint(tmp_path, capsys):
 
 def test_retired_train_key_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "config.json"
-    for key, value in (("pseudo_per_batch", True), ("lr_period", 50)):
+    for key, value in (("pseudo_per_batch", True), ("lr_period", 50), ("proto_momentum", 0.7)):
         config.write_text(json.dumps({"train": dict(CONFIG["train"], **{key: value})}))
         code = main(["train", "--config", str(config), "--data", str(tmp_path),
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
     # at their only values they pass: the run stops at the missing data
-    config.write_text(json.dumps({"train": dict(CONFIG["train"], lr_factor=0.99, lr_period=100)}))
+    config.write_text(json.dumps({"train": dict(CONFIG["train"], lr_factor=0.99, lr_period=100,
+                                                proto_momentum=0.9)}))
     code = main(["train", "--config", str(config), "--data", str(tmp_path),
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_MISSING
@@ -667,6 +680,8 @@ MALFORMED = {
         t, c, _meta_edit(lambda m: m.update(version=2)), "eval", d / "test")),
     "checkpoint-retired-ot-tol": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
         t, c, _meta_edit(lambda m: m["config"].update(ot_tol=1e-7)), "eval", d / "test")),
+    "checkpoint-retired-proto-momentum": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
+        t, c, _meta_edit(lambda m: m["config"].update(proto_momentum=0.7)), "cams", d / "test")),
     "checkpoint-retired-kernel-width": (EXIT_DATA, lambda t, d, c: _edited_checkpoint(
         t, c, _meta_edit(lambda m: m["config"]["net"].update(kernel_width=5)), "pseudo",
         d / "train")),

@@ -288,17 +288,27 @@ def test_choices_matches_per_row_choice():
     assert fallbacks == 0  # every problem went through the batched replay
 
 
-def test_choices_falls_back_to_per_row_choice():
-    # a buffered half of 0 drawn into [0, 3) lands in Lemire's rejection branch
+def test_choices_batches_a_rejected_draw_and_pop_10000():
+    # a buffered half of 0 drawn into [0, 3) lands in Lemire's rejection
+    # branch, which rng.integers takes just as rng.choice does
     got_rng, want_rng = _ChoiceSpy(5), np.random.default_rng(5)
     for g in (got_rng, want_rng):
         state = g.bit_generator.state
         state["has_uint32"], state["uinteger"] = 1, 0
         g.bit_generator.state = state
     got = _choices(got_rng, 6, 3, 1)
-    assert got_rng.calls == 6
+    assert got_rng.calls == 0
     np.testing.assert_array_equal(got, _per_row_choices(want_rng, 6, 3, 1))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the largest population numpy always draws by Floyd's algorithm
+    got_rng, want_rng = _ChoiceSpy(7), np.random.default_rng(7)
+    got = _choices(got_rng, 2, 10_000, 1_000)
+    assert got_rng.calls == 0
+    np.testing.assert_array_equal(got, _per_row_choices(want_rng, 2, 10_000, 1_000))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_choices_falls_back_to_per_row_choice():
     # above a population of 10,000 numpy may shuffle a tail instead
     got_rng, want_rng = _ChoiceSpy(6), np.random.default_rng(6)
     got = _choices(got_rng, 2, 20_000, 1_000)

@@ -3,37 +3,10 @@
 import numpy as np
 import pytest
 
-from wsseg.pseudo import count_assignments, generate
+from wsseg.pseudo import generate
 from wsseg.seqdata import TimestampAnnotations
 
 from loop_reference import generate_loop, normalize_two_class
-
-
-def test_count_assignments_dominant_column():
-    q = np.zeros((5, 3))
-    q[:, 1] = 0.9
-    q[:, 2] = 0.1
-    assert count_assignments(q, 0, 4, 1, 2) == (5, 0)
-
-
-def test_count_assignments_ties_go_to_first_class():
-    q = np.full((4, 2), 0.5)
-    assert count_assignments(q, 0, 3, 0, 1) == (4, 0)
-
-
-def test_count_assignments_row_argmax_oracle():
-    q = np.array([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]])
-    assert count_assignments(q, 0, 2, 0, 1) == (1, 2)
-
-
-def test_count_assignments_sum_is_interval_length(rng):
-    for _ in range(30):
-        t = int(rng.integers(2, 40))
-        q = rng.random((t, 4))
-        lo = int(rng.integers(0, t - 1))
-        hi = int(rng.integers(lo, t - 1))
-        n_a, n_b = count_assignments(q, lo, hi, 1, 3)
-        assert n_a + n_b == hi - lo + 1
 
 
 def test_normalize_two_class_cases():
@@ -45,6 +18,15 @@ def test_normalize_two_class_cases():
 
 def _ann(positions, classes):
     return TimestampAnnotations(np.array(positions), np.array(classes))
+
+
+def test_generate_ties_go_to_the_earlier_class():
+    # equal columns: every interior sample counts for class a, and at
+    # eps_hard 1 all of them are hard a
+    q = np.full((9, 3), 0.5)
+    out = generate(q, _ann([1, 7], [2, 1]), eps_hard=1.0)
+    assert out.hard_mask.all()
+    np.testing.assert_array_equal(out.y.argmax(axis=0), [2] * 7 + [1] * 2)
 
 
 def test_generate_region_arithmetic_oracle():

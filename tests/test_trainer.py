@@ -130,7 +130,7 @@ def test_retired_config_keys_dropped_at_their_only_value():
     stored = config.to_dict()
     old = dict(stored, pseudo_per_batch=False, normalize_cams=True,
                adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, include_background_cls=False,
-               lr_factor=0.99, lr_period=100, ot_tol=1e-6,
+               lr_factor=0.99, lr_period=100, ot_tol=1e-6, proto_momentum=0.9,
                net=dict(stored["net"], kernel_width=3))
     assert TrainConfig.from_dict(old) == config
     assert TrainConfig.from_dict(json.loads(json.dumps(old))) == config
@@ -139,7 +139,7 @@ def test_retired_config_keys_dropped_at_their_only_value():
                        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6),
                        ("include_background_cls", True), ("include_background_cls", 0),
                        ("lr_factor", 0.5), ("lr_period", 50), ("lr_period", 100.0),
-                       ("ot_tol", 1e-7), ("ot_tol", 1)):
+                       ("ot_tol", 1e-7), ("ot_tol", 1), ("proto_momentum", 0.7)):
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(dict(stored, **{key: value}))
     for width in (5, 2, 3.0, True):
@@ -151,7 +151,7 @@ def test_constants_are_readable_but_not_settable():
     config = _config()
     assert (config.ot_tol, config.net.kernel_width) == (1e-6, 3)
     assert "ot_tol" not in config.to_dict() and "kernel_width" not in config.to_dict()["net"]
-    assert len(dataclasses.fields(TrainConfig)) == 17 and len(dataclasses.fields(TcnConfig)) == 6
+    assert len(dataclasses.fields(TrainConfig)) == 16 and len(dataclasses.fields(TcnConfig)) == 6
     for build in (lambda: _config(ot_tol=1e-7), lambda: dataclasses.replace(config, ot_tol=1e-7),
                   lambda: TcnConfig(in_dim=2, num_classes=3, kernel_width=5)):
         with pytest.raises(TypeError, match="ot_tol|kernel_width"):
@@ -228,6 +228,11 @@ def test_load_checkpoint_with_retired_config_keys(tmp_path):
     _rewrite_meta_config(path, ot_tol=1e-6, net=dict(net, kernel_width=5))
     with pytest.raises(ValueError, match="kernel_width"):
         load_checkpoint(path)
+    _rewrite_meta_config(path, net=net, proto_momentum=0.9)
+    assert load_checkpoint(path).config == config
+    _rewrite_meta_config(path, proto_momentum=0.7)
+    with pytest.raises(ValueError, match="proto_momentum"):
+        load_checkpoint(path)
 
 
 def test_load_checkpoint_with_a_legacy_switch_or_temperature(tmp_path):
@@ -274,7 +279,7 @@ def test_checkpoint_table_covers_every_state_field():
 
 def test_checkpoint_round_trips_every_field(tmp_path):
     data = _corpus(2, seed=1)
-    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1, proto_momentum=0.7))
+    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1, eps_hard=0.3))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
@@ -285,7 +290,7 @@ def test_checkpoint_round_trips_every_field(tmp_path):
             np.testing.assert_array_equal(a[key], b[key])
     np.testing.assert_array_equal(loaded.bank.p, state.bank.p)
     np.testing.assert_array_equal(loaded.bank.initialized, state.bank.initialized)
-    assert loaded.config.proto_momentum == state.config.proto_momentum
+    assert loaded.config.eps_hard == state.config.eps_hard
     for name in ("rng_batch", "rng_mine"):
         assert getattr(loaded, name).bit_generator.state == getattr(state, name).bit_generator.state
     for name in ("config", "adam_t", "epoch", "best_f_m", "best_epoch"):
@@ -543,19 +548,6 @@ def test_lr_change_takes_effect_on_resume():
     for k in state.params:
         assert np.any(moved[0.001][k] != 0.0)
         np.testing.assert_allclose(moved[0.004][k], 4.0 * moved[0.001][k], rtol=1e-9, atol=1e-15)
-
-
-def test_proto_momentum_change_takes_effect_on_resume():
-    data = _corpus(3, seed=3)
-    state, _ = train(data, data[:1], _config(epochs_max=1, epochs_init=1))
-    initialized = state.bank.initialized.copy()
-    assert initialized.any()
-    before = state.bank.p.copy()
-    # momentum 0 keeps every initialized row as it was
-    state, _ = train(data, data[:1], _config(epochs_max=2, epochs_init=2, proto_momentum=0.0),
-                     state=state)
-    assert state.epoch == 2
-    np.testing.assert_array_equal(state.bank.p[initialized], before[initialized])
 
 
 def test_pseudo_without_prototypes_skips_the_forward_pass(monkeypatch):
