@@ -6,6 +6,14 @@ input, the input gradient reads the padded output gradient. Each sum
 accumulates in tap order into a dense ``(channels, T)`` array, the
 products after the first through one reused buffer.
 
+The forward's tap arithmetic is one routine, ``conv_taps``, which writes
+into arrays that its caller owns and allocates nothing.
+``dilated_conv_forward`` pads a copy and allocates the sum and tap arrays
+for it; the network's cache-free passes call ``conv_taps`` directly over
+a ``net.Workspace``, possibly on several threads at once. Only
+``dilated_conv_forward`` and ``dilated_conv_backward`` are seen by a
+tracer that wraps module attributes, and both run on the calling thread.
+
 Array layout is channels-first: activations are ``(channels, T)``, weights
 ``(out_channels, in_channels, kernel_width)``. Temporal length is preserved
 with symmetric zero padding of ``dilation * (kernel_width - 1) // 2``, so
@@ -22,18 +30,28 @@ def _padded(a, pad):
     return out
 
 
-def dilated_conv_forward(x, w, b, dilation):
-    """out[o, t] = b[o] + sum_{i,k} w[o, i, k] * x_padded[i, t + k*dilation]."""
-    kw = w.shape[2]
-    t_len = x.shape[1]
-    xp = _padded(x, dilation * (kw - 1) // 2)
-    out = w[:, :, 0] @ xp[:, :t_len]
+def conv_taps(xp, w, b, dilation, out, tap):
+    """Write b[o] + sum_{i,k} w[o, i, k] * xp[i, t + k*dilation] into
+    ``out``, whose column count is T, and return it.
+
+    ``xp`` is the input with its zero padding, at least
+    ``T + dilation * (kw - 1)`` columns; ``tap`` is a scratch array of
+    ``out``'s shape and dtype. Allocates nothing.
+    """
+    t_len = out.shape[1]
+    np.matmul(w[:, :, 0], xp[:, :t_len], out=out)
     out += b[:, None]
-    tap = np.empty_like(out)
-    for k in range(1, kw):
+    for k in range(1, w.shape[2]):
         np.matmul(w[:, :, k], xp[:, k * dilation : k * dilation + t_len], out=tap)
         out += tap
     return out
+
+
+def dilated_conv_forward(x, w, b, dilation):
+    """out[o, t] = b[o] + sum_{i,k} w[o, i, k] * x_padded[i, t + k*dilation]."""
+    xp = _padded(x, dilation * (w.shape[2] - 1) // 2)
+    out = np.empty((w.shape[0], x.shape[1]), dtype=np.result_type(w, xp))
+    return conv_taps(xp, w, b, dilation, out, np.empty_like(out))
 
 
 def dilated_conv_backward(x, w, dilation, d_out):

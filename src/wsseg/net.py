@@ -13,13 +13,25 @@ reads:
 
 - ``forward_cached`` returns every head plus a ``ForwardCache`` holding
   each layer's feature map and ReLU output, for ``backward`` (training);
-- ``forward`` returns every head and keeps no cache: each layer's maps
-  are dropped once the next layer has read them (pseudo-labels, CAMs);
+- ``forward`` returns every head and keeps no cache (pseudo-labels,
+  CAMs);
 - ``probabilities`` returns the per-stage class probabilities only, and
   runs no projector, pooling or multi-label head (scoring).
 
+The two cache-free passes write every layer over a ``Workspace``: a
+feature map zero-padded by the largest dilation, a conv sum and a tap
+product, through ``kernels.conv_taps``. ``probabilities`` takes one that
+its caller owns, so a caller that scores many sequences allocates nothing
+per layer; ``trainer.predict`` fans its sequences out over the CPUs with
+one workspace per thread. ``forward`` makes one per call.
+``forward_cached`` makes new arrays per layer through
+``kernels.dilated_conv_forward``. ``probabilities``, the pass that runs
+on worker threads, calls nothing that perfbench's tracer wraps: no traced
+function runs on a worker thread.
+
 All three compute the same floating-point operations in the same order,
-so their shared outputs are bitwise equal.
+so their shared outputs are bitwise equal, whatever the workspace, the
+thread and the BLAS thread count.
 
 Parameters live in a flat ``{name: ndarray}`` dict; ``backward`` returns a
 dict with the same keys. Gradients flow through every path, including the
@@ -34,7 +46,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .kernels import dilated_conv_backward, dilated_conv_forward
+from .kernels import conv_taps, dilated_conv_backward, dilated_conv_forward
 
 
 class StaleCacheError(RuntimeError):
@@ -147,9 +159,23 @@ def _residual_layer(h, wd, bd, wr, br, dilation):
     return out, a
 
 
-def _linear(w, b, x):
-    """w @ x + b per column, the bias added in place."""
-    out = w @ x
+def _residual_layer_in_place(g, padded, conv_sum, tap, wd, bd, wr, br, dilation):
+    """``_residual_layer`` over a workspace's views: the same operations
+    in the same order, the sum made in ``tap`` and copied over ``g``, the
+    interior of ``padded``."""
+    offset = (padded.shape[1] - g.shape[1]) // 2 - dilation * (wd.shape[2] - 1) // 2
+    conv_taps(padded[:, offset:], wd, bd, dilation, conv_sum, tap)
+    np.maximum(conv_sum, 0.0, out=conv_sum)
+    np.matmul(wr, conv_sum, out=tap)
+    tap += g
+    tap += br[:, None]
+    g[...] = tap
+
+
+def _linear(w, b, x, out=None):
+    """w @ x + b per column, into ``out`` when given, the bias added in
+    place."""
+    out = np.matmul(w, x, out=out)
     out += b[:, None]
     return out
 
@@ -185,6 +211,41 @@ def l2_normalize_backward(d_vn, vn, norms):
     return (d_vn - vn * inner) / norms[None, :]
 
 
+class Workspace:
+    """The three arrays that the cache-free passes write over, for
+    sequences of up to ``capacity`` samples in ``dtype``: a feature map
+    zero-padded by the largest dilation's padding, a conv sum and a tap
+    product.
+
+    The caller owns it and may hand it to any number of passes, one at a
+    time. Each pass zeroes the padding again, which a longer sequence
+    before it may have written over.
+    """
+
+    def __init__(self, config, capacity, dtype):
+        self.features = config.feature_dim
+        self.pad = config.dilation(config.layers_per_stage - 1) * (config.kernel_width - 1) // 2
+        self.capacity = capacity
+        self.dtype = np.dtype(dtype)
+        self._padded = np.empty(self.features * (capacity + 2 * self.pad), self.dtype)
+        self._sum = np.empty(self.features * capacity, self.dtype)
+        self._tap = np.empty(self.features * capacity, self.dtype)
+
+    def views(self, t_len):
+        """(feature map ``(F, t_len)``, the padded map it is the interior
+        of, conv sum and tap product ``(F, t_len)``); all but the first are
+        C-contiguous."""
+        if t_len > self.capacity:
+            raise ValueError(f"a workspace for {self.capacity} samples got {t_len}")
+        f, pad = self.features, self.pad
+        padded = self._padded[: f * (t_len + 2 * pad)].reshape(f, -1)
+        padded[:, :pad] = 0.0
+        padded[:, pad + t_len :] = 0.0
+        conv_sum = self._sum[: f * t_len].reshape(f, t_len)
+        tap = self._tap[: f * t_len].reshape(f, t_len)
+        return padded[:, pad : pad + t_len], padded, conv_sum, tap
+
+
 def _input(x, params, config):
     data = np.asarray(x, dtype=params["s0.in.w"].dtype)
     if data.shape[0] != config.in_dim:
@@ -192,30 +253,32 @@ def _input(x, params, config):
     return data
 
 
-def _stages(data, params, config, kept):
+def _stages(data, params, config, kept=None, workspace=None):
     """The stage loop of every pass; returns (final feature map, per-stage
     probabilities).
 
-    When ``kept`` is a list, one (stage input, [G_0 .. G_L], [A_1 .. A_L])
-    tuple per stage is appended to it; when it is None, each layer's maps
-    are dropped as the loop moves on.
+    When ``kept`` is a list, every layer makes new arrays, and one (stage
+    input, [G_0 .. G_L], [A_1 .. A_L]) tuple per stage is appended to it.
+    Otherwise every layer writes over ``workspace``, and the returned
+    feature map is a view into it.
     """
     y_prob = []
     inp = data
+    if kept is None:
+        g, padded, conv_sum, tap = workspace.views(data.shape[1])
     for s in range(config.stages):
-        g = _linear(params[f"s{s}.in.w"], params[f"s{s}.in.b"], inp)
-        if kept is not None:
+        w_in, b_in = params[f"s{s}.in.w"], params[f"s{s}.in.b"]
+        if kept is None:
+            g[...] = _linear(w_in, b_in, inp, out=conv_sum)
+        else:
+            g = _linear(w_in, b_in, inp)
             kept.append((inp, [g], []))
         for l in range(config.layers_per_stage):
-            g, a = _residual_layer(
-                g,
-                params[f"s{s}.l{l}.wd"],
-                params[f"s{s}.l{l}.bd"],
-                params[f"s{s}.l{l}.wr"],
-                params[f"s{s}.l{l}.br"],
-                config.dilation(l),
-            )
-            if kept is not None:
+            layer = [params[f"s{s}.l{l}.{k}"] for k in ("wd", "bd", "wr", "br")]
+            if kept is None:
+                _residual_layer_in_place(g, padded, conv_sum, tap, *layer, config.dilation(l))
+            else:
+                g, a = _residual_layer(g, *layer, config.dilation(l))
                 kept[-1][1].append(g)
                 kept[-1][2].append(a)
         inp = softmax_columns(_linear(params[f"s{s}.out.w"], params[f"s{s}.out.b"], g))
@@ -234,15 +297,26 @@ def _heads(z, params):
     return gap, y_s_logits, hidden, v
 
 
-def probabilities(x, params, config):
+def probabilities(x, params, config, workspace=None):
     """Per-stage (C, T) class probabilities, the last entry canonical; no
-    other head runs and nothing is kept."""
-    return _stages(_input(x, params, config), params, config, None)[1]
+    other head runs and nothing is kept. The layers write over
+    ``workspace``, a ``Workspace`` of the parameters' dtype, or over a new
+    one when it is None."""
+    data = _input(x, params, config)
+    if workspace is None:
+        workspace = Workspace(config, data.shape[1], data.dtype)
+    elif workspace.dtype != data.dtype:
+        raise ValueError(f"workspace of dtype {workspace.dtype}, parameters of {data.dtype}")
+    return _stages(data, params, config, workspace=workspace)[1]
 
 
 def forward(x, params, config):
-    """Every head, with no cache kept."""
-    z, y_prob = _stages(_input(x, params, config), params, config, None)
+    """Every head, with no cache kept; the layers write over a new
+    ``Workspace``."""
+    data = _input(x, params, config)
+    workspace = Workspace(config, data.shape[1], data.dtype)
+    z, y_prob = _stages(data, params, config, workspace=workspace)
+    z = z.copy()
     _, y_s_logits, _, v = _heads(z, params)
     return NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
 
@@ -250,7 +324,7 @@ def forward(x, params, config):
 def forward_cached(x, params, config):
     """Every head, plus every intermediate backward needs."""
     kept = []
-    z, y_prob = _stages(_input(x, params, config), params, config, kept)
+    z, y_prob = _stages(_input(x, params, config), params, config, kept=kept)
     gap, y_s_logits, proj_hidden, v = _heads(z, params)
     outputs = NetworkOutputs(z=z, y_prob=y_prob, y_s_logits=y_s_logits, v=v)
     stage_inputs, g_lists, relu_lists = map(list, zip(*kept))

@@ -24,6 +24,7 @@ and pseudo-labels run the float64 parameters.
 import contextlib
 import json
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -497,12 +498,59 @@ def _dump_diagnostics(diag_dir, crop, x, outputs, parts):
     return path
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def predict(state, data_set):
-    """Argmax of the final stage per sample, one array per sequence."""
-    preds = []
-    for item in data_set:
-        prob = net_mod.probabilities(item.sequence.data, state.params, state.config.net)[-1]
-        preds.append(np.argmax(prob, axis=0))
+    """Argmax of the final stage per sample, one array per sequence, in
+    the order of ``data_set``.
+
+    The sequences are scored on the calling thread plus one worker thread
+    per further CPU, no more threads than sequences: thread w takes
+    sequences w, w + W, ... The calling thread allocates one
+    ``net.Workspace`` per thread, sized for the longest sequence, and
+    ``net.probabilities`` writes each layer over it. Each sequence runs the
+    same operations whatever the thread count, so the output is
+    bit-identical to a sequential loop. A worker calls nothing but
+    ``net.probabilities`` and ``np.argmax``. The error of the first failing
+    sequence is raised once every thread has ended.
+    """
+    items = list(data_set)
+    if not items:
+        return []
+    config, params = state.config.net, state.params
+    count = min(_cpus(), len(items))
+    capacity = max(it.sequence.num_samples for it in items)
+    dtype = params["s0.in.w"].dtype
+    workspaces = [net_mod.Workspace(config, capacity, dtype) for _ in range(count)]
+    preds = [None] * len(items)
+    failures = [None] * count  # per thread: (sequence index, exception)
+
+    def score(w):
+        for i in range(w, len(items), count):
+            try:
+                prob = net_mod.probabilities(items[i].sequence.data, params, config, workspaces[w])
+            except Exception as exc:  # re-raised on the calling thread
+                failures[w] = (i, exc)
+                return
+            preds[i] = np.argmax(prob[-1], axis=0)
+
+    workers = [threading.Thread(target=score, args=(w,)) for w in range(1, count)]
+    for worker in workers:
+        worker.start()
+    try:
+        score(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return preds
 
 

@@ -123,6 +123,33 @@ def test_the_three_passes_agree_bitwise(stages, t_len, dtype):
     assert all(a.dtype == dtype for a in [*probs, *heads, *kept])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_reused_workspace_gives_the_bits_of_a_new_one(dtype):
+    """Longer and shorter sequences in turn, down to one sample, over one
+    workspace: each sequence's probabilities equal those of a pass over a
+    workspace of its own."""
+    config = net.TcnConfig(
+        in_dim=2, num_classes=3, stages=2, layers_per_stage=4, feature_dim=6, projector_dim=3
+    )
+    params = _params(config, 4, dtype)
+    workspace = net.Workspace(config, 300, dtype)
+    rng = np.random.default_rng(5)
+    for t_len in (300, 1, 120, 299, 7, 1):
+        x = rng.standard_normal((2, t_len))
+        reused = net.probabilities(x, params, config, workspace)
+        for p, q in zip(reused, net.probabilities(x, params, config)):
+            assert np.array_equal(p, q)
+
+
+def test_a_workspace_refuses_a_longer_sequence_or_another_dtype():
+    params = net.init_params(SMALL, 0)
+    x = np.zeros((2, 9))
+    with pytest.raises(ValueError, match="workspace for 8 samples got 9"):
+        net.probabilities(x, params, SMALL, net.Workspace(SMALL, 8, np.float64))
+    with pytest.raises(ValueError, match="workspace of dtype float32"):
+        net.probabilities(x, params, SMALL, net.Workspace(SMALL, 9, np.float32))
+
+
 @pytest.mark.parametrize("name, value", [
     ("in_dim", 3.0), ("num_classes", True), ("stages", "1"), ("layers_per_stage", None),
     ("feature_dim", 8.0), ("projector_dim", 4.5),

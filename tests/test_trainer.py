@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from wsseg.metrics import SCORES
 from wsseg.net import TcnConfig
 from wsseg.seqdata import (
     DenseLabels,
+    SensorSequence,
     SyntheticSpec,
     TimestampAnnotations,
     generate_synthetic,
@@ -639,6 +641,68 @@ def test_evaluate_repeatable_and_chance_level():
     # chance level holds on average over initializations
     mean_acc = np.mean([evaluate(new_state(_config(seed=s)), data).acc for s in range(10)])
     assert abs(mean_acc - 1 / 3) <= 0.1
+
+
+# lengths that put a shorter sequence after a longer one on some thread at
+# 1, 2 and 3 threads, so a workspace whose padding is not zeroed again shows
+PREDICT_LENGTHS = (300, 280, 260, 1, 7, 40, 250, 3, 100)
+
+
+def _scoring_state(dtype):
+    net = TcnConfig(in_dim=2, num_classes=3, stages=2, layers_per_stage=4, feature_dim=8,
+                    projector_dim=4)
+    state = new_state(_config(net=net, seed=5))
+    # at 3x the initial scale, stale padding moves the argmax of short
+    # sequences; at 1x the second stage's near-uniform input hides it
+    state.params = {k: (3.0 * v).astype(dtype) for k, v in state.params.items()}
+    return state
+
+
+def _sequences(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [LabeledSequence(SensorSequence(rng.standard_normal((2, t))),
+                            DenseLabels(np.zeros(t, dtype=np.int64), 3)) for t in lengths]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_predict_equals_a_sequential_loop_bitwise(monkeypatch, workers, dtype):
+    state = _scoring_state(dtype)
+    data = _sequences(PREDICT_LENGTHS)
+    want = [np.argmax(net_mod.probabilities(it.sequence.data, state.params, state.config.net)[-1],
+                      axis=0) for it in data]
+    threads = set()
+    probabilities = net_mod.probabilities
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        return probabilities(*args)
+
+    monkeypatch.setattr(trainer_mod, "_cpus", lambda: workers)
+    monkeypatch.setattr(net_mod, "probabilities", spy)
+    got = trainer_mod.predict(state, data)
+    assert len(threads) == workers
+    assert len(got) == len(want)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_predict_raises_the_first_failing_sequence_and_ends_its_threads(monkeypatch, workers):
+    state = _scoring_state(np.float64)
+    data = _sequences(PREDICT_LENGTHS[:6])
+    # sequences 1 and 2 have the wrong channel count; 1 runs on a worker thread
+    for i, channels in ((1, 3), (2, 4)):
+        t = data[i].sequence.num_samples
+        data[i] = LabeledSequence(SensorSequence(np.ones((channels, t))), data[i].labels)
+    with pytest.raises(ValueError) as first:
+        net_mod.probabilities(data[1].sequence.data, state.params, state.config.net)
+    monkeypatch.setattr(trainer_mod, "_cpus", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        trainer_mod.predict(state, data)
+    assert str(raised.value) == str(first.value)
+    assert threading.active_count() == before
+    assert trainer_mod.predict(state, []) == []
 
 
 def _script_validation(monkeypatch, f_m):
