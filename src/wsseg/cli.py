@@ -113,7 +113,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"wsseg: error: {exc}", file=sys.stderr)
         return exc.code
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program, not of its input
         print(f"wsseg: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -285,19 +285,19 @@ def _checkpoint_inputs(args):
 def cmd_eval(args):
     state, data = _checkpoint_inputs(args)
     preds = trainer_mod.predict(state, data)
+    num_classes = state.config.net.num_classes
     report = evaluate_many(
-        [(pred, item.labels.labels) for pred, item in zip(preds, data)],
-        state.config.net.num_classes,
+        [(pred, item.labels.labels) for pred, item in zip(preds, data)], num_classes
     )
     rows = [["metric", "value"]] + [[k, repr(v)] for k, v in report.as_row().items()]
-    for c in range(report.num_classes):
+    for c in range(num_classes):
         rows.append([f"f_class_{c}", repr(float(report.per_class_f[c]))])
         rows.append([f"ji_class_{c}", repr(float(report.per_class_ji[c]))])
     with open(os.path.join(args.out, "eval_report.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     for item, pred in zip(data, preds):
         svg = segmentation_ribbon_svg(
-            [("truth", item.labels.labels), ("pred", pred)], report.num_classes
+            [("truth", item.labels.labels), ("pred", pred)], num_classes
         )
         with open(os.path.join(args.out, f"ribbon_{item.sequence.id}.svg"), "w") as fh:
             fh.write(svg)

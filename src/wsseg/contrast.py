@@ -163,21 +163,20 @@ def mine_pairs(vn, mask_classes, y_prob, annotations, bank, seed, anchor_count=6
     return ContrastBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def info_nce(batch, vn, bank, tau):
-    """Mean InfoNCE over the batch and its gradient wrt ``vn``.
+def info_nce(batch, vn, bank):
+    """Mean InfoNCE over the batch at temperature ``TAU``, and its
+    gradient wrt ``vn``.
 
-    Per anchor: -log( exp(v.P_pos/tau) / sum_{c in {pos} u negs} exp(v.P_c/tau) ),
+    Per anchor: -log( exp(v.P_pos/TAU) / sum_{c in {pos} u negs} exp(v.P_c/TAU) ),
     with P_pos = pos_w @ P. Anchors without negatives contribute
     -log 1 = 0. The gradient of anchor a is
-    ((s_pos - 1) P_pos + sum_c s_c P_c) / tau over its softmax weights s,
+    ((s_pos - 1) P_pos + sum_c s_c P_c) / TAU over its softmax weights s,
     averaged over the batch and scattered onto the anchor's column.
     """
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
     if not len(batch):
         raise ValueError("batch must be non-empty")
     v = vn[:, batch.anchors].T  # (A, dim)
-    logits = v @ bank.p.T / tau  # (A, C)
+    logits = v @ bank.p.T / TAU  # (A, C)
     s_pos = (batch.pos_w * logits).sum(axis=1)
     s_neg = np.where(batch.neg, logits, -np.inf)
     shift = np.maximum(s_pos, s_neg.max(axis=1))
@@ -186,7 +185,7 @@ def info_nce(batch, vn, bank, tau):
     total = e_pos + e_neg.sum(axis=1)
     a = len(batch)
     loss = float((np.log(total) + shift - s_pos).sum() / a)
-    coef = ((e_pos / total - 1.0)[:, None] * batch.pos_w + e_neg / total[:, None]) / (tau * a)
+    coef = ((e_pos / total - 1.0)[:, None] * batch.pos_w + e_neg / total[:, None]) / (TAU * a)
     d_vn = np.zeros_like(vn)
     np.add.at(d_vn.T, batch.anchors, coef @ bank.p)
     return loss, d_vn

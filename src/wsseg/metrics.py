@@ -41,7 +41,6 @@ class EvalReport:
     o_u: float  # O/U samples as a fraction of all samples
     per_class_f: np.ndarray  # (C,), 0 for classes absent from truth
     per_class_ji: np.ndarray  # (C,), 0 for classes absent from truth and pred
-    num_classes: int
 
     def as_row(self):
         return {k: getattr(self, k) for k in SCORES}
@@ -96,7 +95,6 @@ def evaluate_many(pairs, num_classes):
         o_u=bad / total,
         per_class_f=f,
         per_class_ji=ji,
-        num_classes=num_classes,
     )
 
 

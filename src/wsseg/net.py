@@ -297,15 +297,13 @@ def _heads(z, params):
     return gap, y_s_logits, hidden, v
 
 
-def probabilities(x, params, config, workspace=None):
+def probabilities(x, params, config, workspace):
     """Per-stage (C, T) class probabilities, the last entry canonical; no
     other head runs and nothing is kept. The layers write over
-    ``workspace``, a ``Workspace`` of the parameters' dtype, or over a new
-    one when it is None."""
+    ``workspace``, a ``Workspace`` of the parameters' dtype that the caller
+    owns."""
     data = _input(x, params, config)
-    if workspace is None:
-        workspace = Workspace(config, data.shape[1], data.dtype)
-    elif workspace.dtype != data.dtype:
+    if workspace.dtype != data.dtype:
         raise ValueError(f"workspace of dtype {workspace.dtype}, parameters of {data.dtype}")
     return _stages(data, params, config, workspace=workspace)[1]
 

@@ -50,15 +50,15 @@ def estimate_prototype(v, cam_row, mask, k):
     return (v[:, mask] * weights[None, :]).sum(axis=1) / total
 
 
-def update_bank(bank, class_index, new_prototype, momentum):
-    """Momentum-fold a fresh estimate into the bank; first update sets the
-    row. ``momentum`` is the weight of the new estimate."""
+def update_bank(bank, class_index, new_prototype):
+    """Momentum-fold a fresh estimate into the bank at weight ``MOMENTUM``;
+    the first update sets the row."""
     if class_index >= bank.num_classes:
         raise ValueError(f"class index {class_index} out of range")
     new_prototype = np.asarray(new_prototype, dtype=np.float64)
     if bank.initialized[class_index]:
         bank.p[class_index] = (
-            momentum * new_prototype + (1.0 - momentum) * bank.p[class_index]
+            MOMENTUM * new_prototype + (1.0 - MOMENTUM) * bank.p[class_index]
         )
     else:
         bank.p[class_index] = new_prototype

@@ -446,7 +446,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 vn, cam_weights[cls_idx], np.flatnonzero(member), config.proto_k
             )
             if est is not None:
-                update_bank(state.bank, cls_idx, est, proto_mod.MOMENTUM)
+                update_bank(state.bank, cls_idx, est)
 
         if weights.weight("con") > 0:
             mined = contrast_mod.mine_pairs(
@@ -459,7 +459,7 @@ def _crop_objective(crop, outputs, state, y_tilde):
                 anchor_count=config.anchor_count,
             )
             if mined:
-                parts["con"], d_vn = contrast_mod.info_nce(mined, vn, state.bank, contrast_mod.TAU)
+                parts["con"], d_vn = contrast_mod.info_nce(mined, vn, state.bank)
                 dv = net_mod.l2_normalize_backward(weights.weight("con") * d_vn, vn, norms)
 
     parts["total"] = losses_mod.combined(parts, weights)

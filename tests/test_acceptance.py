@@ -127,15 +127,15 @@ def test_criterion_1_gradients():
     bank = PrototypeBank(3, 4)
     for c in range(3):
         p = rng.standard_normal(4)
-        update_bank(bank, c, p / np.linalg.norm(p), momentum=0.9)
+        update_bank(bank, c, p / np.linalg.norm(p))
     batch = ContrastBatch(
         anchors=[0, 3, 6],
         pos_w=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
         neg=[[False, True, True], [True, False, False], [False, True, False]],
     )
-    _, g = info_nce(batch, vn, bank, tau=0.1)
+    _, g = info_nce(batch, vn, bank)
     assert_grad_close(g, central_difference(
-        lambda: info_nce(batch, vn, bank, tau=0.1)[0], vn))
+        lambda: info_nce(batch, vn, bank)[0], vn))
 
     config = net_mod.TcnConfig(in_dim=2, num_classes=3, stages=2, layers_per_stage=2,
                                feature_dim=4, projector_dim=3)

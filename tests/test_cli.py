@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+import wsseg.cli as cli_mod
 import wsseg.net as net_mod
 import wsseg.trainer as trainer_mod
 from wsseg.cli import (
@@ -454,6 +455,16 @@ def test_unknown_subcommand_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("wsseg: error:")
+
+
+def test_an_unexpected_error_exits_1(monkeypatch, tmp_path, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_synth", broken)
+    code = main(["synth", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "wsseg: error: RuntimeError: boom\n"
 
 
 def test_missing_config_and_checkpoint(tmp_path, capsys):

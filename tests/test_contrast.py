@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wsseg.contrast import ContrastBatch, _choices, info_nce, mine_pairs
+from wsseg.contrast import TAU, ContrastBatch, _choices, info_nce, mine_pairs
 from wsseg.proto import PrototypeBank, update_bank
 from wsseg.seqdata import TimestampAnnotations
 
@@ -13,12 +13,12 @@ from conftest import assert_grad_close, central_difference
 from loop_reference import info_nce_loop, mine_pairs_loop, to_batch
 
 
-def _bank(vectors, momentum=0.9):
+def _bank(vectors):
     vectors = np.asarray(vectors, dtype=np.float64)
     bank = PrototypeBank(vectors.shape[0], vectors.shape[1])
     for c, v in enumerate(vectors):
         if np.any(v != 0.0):
-            update_bank(bank, c, v, momentum)
+            update_bank(bank, c, v)
     return bank
 
 
@@ -43,7 +43,7 @@ def _setup(rng, t_len=40, c=4, dim=6):
 def test_mine_requires_two_initialized_classes(rng):
     vn, _, mask, y_prob, ann = _setup(rng)
     poor = PrototypeBank(4, 6)
-    update_bank(poor, 1, np.ones(6) / np.sqrt(6), momentum=0.9)
+    update_bank(poor, 1, np.ones(6) / np.sqrt(6))
     assert not mine_pairs(vn, mask, y_prob, ann, poor, seed=0)
 
 
@@ -56,6 +56,15 @@ def test_mine_two_class_pool_degenerates_to_single_negative(rng):
     batch = mine_pairs(vn, mask, y_prob, ann2, bank, seed=3)
     regular = ~_is_mixture(batch)
     assert regular.any() and np.all(batch.neg[regular].sum(axis=1) == 1)
+
+
+def test_mine_empty_without_eligible_samples_or_two_timestamps(rng):
+    vn, _, _, y_prob, _ = _setup(rng)
+    bank = _bank([[1.0, 0.0, 0, 0, 0, 0], [0.0, 1.0, 0, 0, 0, 0], [0] * 6, [0] * 6])
+    mask = np.full(vn.shape[1], 3)  # every sample in an uninitialized class
+    one = TimestampAnnotations(np.array([5]), np.array([1]))
+    batch = mine_pairs(vn, mask, y_prob, one, bank, seed=0)
+    assert not batch and batch.pos_w.shape == batch.neg.shape == (0, 4)
 
 
 def test_mine_no_constraint_pairs_when_predictions_agree(rng):
@@ -128,23 +137,23 @@ def test_info_nce_no_negatives_is_zero(rng):
     vn = _unit_rows(rng, 3, 4).T
     bank = _bank(_unit_rows(rng, 2, 4))
     batch = to_batch([(0, (1,), (1.0,), ())], 2)
-    assert info_nce(batch, vn, bank, tau=0.1)[0] == 0.0
+    assert info_nce(batch, vn, bank)[0] == 0.0
 
 
 def test_info_nce_symmetric_similarities_log2():
     vn = np.array([[1.0], [0.0]])
     bank = _bank([[1.0, 0.0], [1.0, 0.0]])  # both prototypes equal: v.P equal
     batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
-    loss = info_nce(batch, vn, bank, tau=0.5)[0]
+    loss = info_nce(batch, vn, bank)[0]
     np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
 
 def test_info_nce_scalar_oracle():
-    # v.P_pos = 1, v.P_neg = -1, tau = 1 -> -log(e / (e + e^-1))
+    # v.P_pos = TAU, v.P_neg = -TAU: logits 1 and -1 -> -log(e / (e + e^-1))
     vn = np.array([[1.0], [0.0]])
-    bank = _bank([[1.0, 0.0], [-1.0, 0.0]])
+    bank = _bank([[TAU, 0.0], [-TAU, 0.0]])
     batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
-    loss = info_nce(batch, vn, bank, tau=1.0)[0]
+    loss = info_nce(batch, vn, bank)[0]
     np.testing.assert_allclose(loss, 0.126928011042972, rtol=1e-10)
 
 
@@ -152,11 +161,11 @@ def test_info_nce_shift_invariance(rng):
     vn = _unit_rows(rng, 1, 3).T
     base = _unit_rows(rng, 3, 3)
     batch = to_batch([(0, (0,), (1.0,), (1, 2))], 3)
-    loss_a = info_nce(batch, vn, _bank(base), tau=0.3)[0]
+    loss_a = info_nce(batch, vn, _bank(base))[0]
     # adding a constant vector along v to every prototype shifts all
     # similarities of the single anchor equally
     shift = 0.37 * vn[:, 0]
-    loss_b = info_nce(batch, vn, _bank(base + shift), tau=0.3)[0]
+    loss_b = info_nce(batch, vn, _bank(base + shift))[0]
     np.testing.assert_allclose(loss_a, loss_b, atol=1e-10)
 
 
@@ -166,17 +175,14 @@ def test_info_nce_nonnegative(rng):
         vn, bank, mask, y_prob, ann = _setup(local)
         batch = mine_pairs(vn, mask, y_prob, ann, bank, seed=seed)
         if batch:
-            assert info_nce(batch, vn, bank, tau=0.2)[0] >= 0.0
+            assert info_nce(batch, vn, bank)[0] >= 0.0
 
 
-def test_info_nce_requires_positive_temperature(rng):
+def test_info_nce_requires_a_non_empty_batch(rng):
     vn = _unit_rows(rng, 2, 3).T
     bank = _bank(_unit_rows(rng, 2, 3))
-    batch = to_batch([(0, (0,), (1.0,), (1,))], 2)
-    with pytest.raises(ValueError):
-        info_nce(batch, vn, bank, tau=0.0)
-    with pytest.raises(ValueError):
-        info_nce(to_batch([], 2), vn, bank, tau=0.1)
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        info_nce(to_batch([], 2), vn, bank)
 
 
 def test_info_nce_gradient_matches_finite_differences(rng):
@@ -191,8 +197,8 @@ def test_info_nce_gradient_matches_finite_differences(rng):
         ],
         3,
     )
-    loss, grad = info_nce(batch, vn, bank, tau=0.1)
-    numeric = central_difference(lambda: info_nce(batch, vn, bank, tau=0.1)[0], vn, step=1e-4)
+    loss, grad = info_nce(batch, vn, bank)
+    numeric = central_difference(lambda: info_nce(batch, vn, bank)[0], vn, step=1e-4)
     assert_grad_close(grad, numeric)
 
 
@@ -201,10 +207,10 @@ def test_info_nce_mixture_positive_uses_weighted_vector(rng):
     bank = _bank([[0.6, 0.8], [0.6, -0.8], [-1.0, 0.0]])
     batch = to_batch([(0, (0, 1), (0.5, 0.5), (2,))], 3)
     p_mix = 0.5 * bank.p[0] + 0.5 * bank.p[1]
-    s_pos = p_mix @ vn[:, 0] / 0.2
-    s_neg = bank.p[2] @ vn[:, 0] / 0.2
+    s_pos = p_mix @ vn[:, 0] / TAU
+    s_neg = bank.p[2] @ vn[:, 0] / TAU
     want = -(s_pos - np.logaddexp(s_pos, s_neg))
-    np.testing.assert_allclose(info_nce(batch, vn, bank, tau=0.2)[0], want, rtol=1e-10)
+    np.testing.assert_allclose(info_nce(batch, vn, bank)[0], want, rtol=1e-10)
 
 
 # ------------------------------------------------- loop reference oracles
@@ -218,7 +224,7 @@ def _random_problem(rng):
     bank = PrototypeBank(c, dim)
     for cls in range(c):
         if rng.random() < 0.8:
-            update_bank(bank, cls, _unit_rows(rng, 1, dim)[0], momentum=0.9)
+            update_bank(bank, cls, _unit_rows(rng, 1, dim)[0])
     mask = rng.integers(0, c, size=t_len)
     y_prob = rng.dirichlet(np.ones(c), size=t_len).T
     n = int(rng.integers(0, min(t_len, 8) + 1))
@@ -324,9 +330,8 @@ def test_info_nce_matches_loop_reference():
         pairs = mine_pairs_loop(vn, mask, y_prob, ann, bank, seed=seed, anchor_count=anchor_count)
         if not pairs:
             continue
-        tau = float(rng.uniform(0.05, 1.0))
-        loss, grad = info_nce(to_batch(pairs, bank.p.shape[0]), vn, bank, tau)
-        want_loss, want_grad = info_nce_loop(pairs, vn, bank, tau)
+        loss, grad = info_nce(to_batch(pairs, bank.p.shape[0]), vn, bank)
+        want_loss, want_grad = info_nce_loop(pairs, vn, bank, TAU)
         np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
         checked += 1

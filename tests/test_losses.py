@@ -325,3 +325,16 @@ def test_all_losses_nonnegative_random(rng):
         assert l_smooth(y, 4.0)[0] >= 0.0
         assert l_conf(y, [2, 8], [0, 1])[0] >= 0.0
         assert l_cls(rng.standard_normal(3), rng.integers(0, 2, size=3))[0] >= 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LossWeights(lambda_s=-0.1), "loss weights must be nonnegative"),
+    (lambda: l_seg_timestamps(np.full((3, 4), 1 / 3), [], []),
+     "need at least one annotated position"),
+    (lambda: l_seg_all(np.full((3, 4), 1 / 3), np.full((3, 5), 1 / 3)),
+     "prediction and pseudo-label shapes differ"),
+    (lambda: l_smooth(np.full((3, 1), 1 / 3), 4.0), "need at least two samples"),
+], ids=["weights", "no-timestamps", "shapes", "one-sample"])
+def test_loss_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

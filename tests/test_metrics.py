@@ -286,3 +286,10 @@ def test_report_single_pair_fields(rng):
 def test_evaluate_many_rejects_no_pairs():
     with pytest.raises(ValueError, match="no"):
         evaluate_many([], 3)
+
+
+@pytest.mark.parametrize("pred, truth", [([0, 3, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 5])],
+                         ids=["pred", "truth"])
+def test_label_above_the_class_count_raises(pred, truth):
+    with pytest.raises(ValueError, match="label index out of range for the declared class count"):
+        score(np.array(pred), np.array(truth), 3)

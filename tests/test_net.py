@@ -105,7 +105,7 @@ def test_the_three_passes_agree_bitwise(stages, t_len, dtype):
     )
     params = _params(config, stages, dtype)
     x = np.random.default_rng(t_len).standard_normal((2, t_len))
-    probs = net.probabilities(x, params, config)
+    probs = net.probabilities(x, params, config, net.Workspace(config, t_len, dtype))
     plain = net.forward(x, params, config)
     cached, cache = net.forward_cached(x, params, config)
     assert len(probs) == stages
@@ -137,7 +137,8 @@ def test_a_reused_workspace_gives_the_bits_of_a_new_one(dtype):
     for t_len in (300, 1, 120, 299, 7, 1):
         x = rng.standard_normal((2, t_len))
         reused = net.probabilities(x, params, config, workspace)
-        for p, q in zip(reused, net.probabilities(x, params, config)):
+        own = net.Workspace(config, t_len, dtype)
+        for p, q in zip(reused, net.probabilities(x, params, config, own)):
             assert np.array_equal(p, q)
 
 
@@ -158,6 +159,22 @@ def test_config_rejects_non_integer_dimensions(name, value):
     dims = dict(in_dim=3, num_classes=2, stages=1, layers_per_stage=2, feature_dim=4)
     with pytest.raises(ValueError, match=name):
         net.TcnConfig(**dict(dims, **{name: value}))
+
+
+def _backward_with_one_dy_prob_entry():
+    params = net.init_params(SMALL, 0)  # two stages
+    _, cache = net.forward_cached(np.zeros((2, 4)), params, SMALL)
+    net.backward(net.OutputGrads(dy_prob=[None]), cache, params, SMALL)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: net.TcnConfig(in_dim=3, num_classes=2, layers_per_stage=0),
+     "network dimensions must be >= 1"),
+    (_backward_with_one_dy_prob_entry, "dy_prob must have one entry per stage"),
+], ids=["zero-layers", "dy-prob-length"])
+def test_network_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_global_average_pool():

@@ -191,6 +191,26 @@ def test_problem_validation():
         )
 
 
+HALF = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TransportProblem(np.ones((2, 3)), HALF, HALF, 0.1),
+     "marginal sizes do not match the score matrix"),
+    (lambda: TransportProblem(np.array([[0.0, np.inf], [0.0, 0.0]]), HALF, HALF, 0.1),
+     "score matrix must be finite"),
+    (lambda: TransportProblem(np.ones((2, 2)), HALF, HALF, 0.1, log_prior=np.zeros((2, 3))),
+     "prior shape must match the score matrix"),
+    (lambda: sinkhorn(TransportProblem(np.ones((2, 2)), HALF, HALF, 0.1), tol=0.0),
+     "tol must be positive"),
+    (lambda: log_order_prior(0, 3, 0.5), "prior dimensions must be >= 1"),
+    (lambda: log_order_prior(2, 3, 0.0), "sigma must be positive"),
+], ids=["marginal-sizes", "score-inf", "prior-shape", "tol", "prior-dims", "sigma"])
+def test_transport_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_zero_mass_rows_and_columns_are_refused():
     score = np.array([[1.0, 0.2, 0.5], [0.1, 0.6, 0.3], [0.3, 0.4, 0.9]])
     positive = np.full(3, 1 / 3)

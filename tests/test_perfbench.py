@@ -30,17 +30,28 @@ def test_perfbench_script_exits_zero(script):
     assert out.returncode == 0, out.stdout + out.stderr
 
 
-@pytest.mark.parametrize("workload", ["train-timestamp", "train-pseudo", "infer"])
-def test_perfbench_workload_passes_its_checks(workload):
+def _assert_run_passes(workload, *flags):
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seconds", "0.1", "--trace", "1"],
+         "--seconds", "0.1", "--trace", "1", *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, out.stdout
+
+
+@pytest.mark.parametrize("workload", ["train-timestamp", "train-pseudo", "infer"])
+def test_perfbench_workload_passes_its_checks(workload):
+    _assert_run_passes(workload)
+
+
+def test_perfbench_infer_passes_at_the_near_tie_corpus_seed():
+    # at corpus seed 37 some argmax columns are near ties, so a scoring pass
+    # at another precision than the benchmark's float64 recomputation fails
+    # every operation there
+    _assert_run_passes("infer", "--seed", "37")
 
 
 def test_tracer_finds_every_wrapped_name(monkeypatch):

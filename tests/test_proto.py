@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wsseg.proto import PrototypeBank, estimate_prototype, update_bank
+from wsseg.proto import MOMENTUM, PrototypeBank, estimate_prototype, update_bank
 
 
 def test_single_sample_prototype(rng):
@@ -52,27 +52,19 @@ def test_convexity_norm_bound(rng):
 
 def test_update_bank_momentum_cases():
     bank = PrototypeBank(3, 2)
-    update_bank(bank, 1, np.array([2.0, 4.0]), momentum=1.0)
+    update_bank(bank, 1, np.array([2.0, 4.0]))  # the first update sets the row
     np.testing.assert_array_equal(bank.p[1], [2.0, 4.0])
-    update_bank(bank, 1, np.array([6.0, 8.0]), momentum=1.0)  # momentum 1: replace
-    np.testing.assert_array_equal(bank.p[1], [6.0, 8.0])
-
-    bank = PrototypeBank(3, 2)
-    update_bank(bank, 0, np.array([1.0, 1.0]), momentum=0.0)  # first update always sets
-    update_bank(bank, 0, np.array([9.0, 9.0]), momentum=0.0)  # momentum 0: unchanged
-    np.testing.assert_array_equal(bank.p[0], [1.0, 1.0])
-
-    bank = PrototypeBank(3, 2)
-    update_bank(bank, 2, np.array([0.0, 0.0]), momentum=0.5)
-    update_bank(bank, 2, np.array([2.0, 4.0]), momentum=0.5)
-    np.testing.assert_array_equal(bank.p[2], [1.0, 2.0])
+    np.testing.assert_array_equal(bank.initialized, [False, True, False])
+    assert MOMENTUM == 0.9  # the weight of the new estimate in every later update
+    update_bank(bank, 1, np.array([12.0, 14.0]))
+    np.testing.assert_allclose(bank.p[1], [11.0, 13.0], rtol=1e-12)
 
 
 def test_update_bank_leaves_other_rows(rng):
     bank = PrototypeBank(4, 3)
-    update_bank(bank, 0, rng.standard_normal(3), momentum=0.7)
+    update_bank(bank, 0, rng.standard_normal(3))
     before = bank.p.copy()
-    update_bank(bank, 2, rng.standard_normal(3), momentum=0.7)
+    update_bank(bank, 2, rng.standard_normal(3))
     np.testing.assert_array_equal(bank.p[[0, 1, 3]], before[[0, 1, 3]])
     np.testing.assert_array_equal(bank.initialized, [True, False, True, False])
 
@@ -80,4 +72,10 @@ def test_update_bank_leaves_other_rows(rng):
 def test_update_bank_range_error():
     bank = PrototypeBank(2, 2)
     with pytest.raises(ValueError):
-        update_bank(bank, 5, np.zeros(2), momentum=0.9)
+        update_bank(bank, 5, np.zeros(2))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_estimate_prototype_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        estimate_prototype(np.ones((2, 3)), np.ones(3), np.array([0, 1]), k=k)

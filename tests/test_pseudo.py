@@ -149,3 +149,14 @@ def test_generate_rejects_bad_eps(rng):
     q, ann, _ = _random_case(rng)
     with pytest.raises(ValueError):
         generate(q, ann, eps_hard=1.5)
+
+
+@pytest.mark.parametrize("positions, message", [
+    ([], "annotations must contain at least one timestamp"),
+    ([2, 10], "timestamp positions outside the sequence"),
+], ids=["no-timestamps", "past-the-end"])
+def test_generate_refusals(positions, message):
+    q = np.full((10, 3), 1 / 3)
+    ann = _ann(np.array(positions, dtype=np.int64), np.zeros(len(positions), dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        generate(q, ann, eps_hard=0.5)

@@ -253,3 +253,31 @@ def test_generate_synthetic_consecutive_segments_differ():
     _, labels = generate_synthetic(_spec(length=200), 11)
     classes = segments_of(labels.labels)[0]
     assert np.all(classes[1:] != classes[:-1])
+
+
+SPEC = dict(num_classes=3, num_channels=2, length=60, seg_len_min=5, seg_len_max=12,
+            noise_sigma=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SensorSequence(np.zeros(5)), "sequence data must be (D>=1, T>=1), got (5,)"),
+    (lambda: SensorSequence(np.zeros((0, 5))), "sequence data must be (D>=1, T>=1), got (0, 5)"),
+    (lambda: SensorSequence(np.array([[0.0, np.nan]])), "sequence data contains non-finite values"),
+    (lambda: DenseLabels(np.zeros(0), 2), "labels must be a non-empty 1-D array"),
+    (lambda: DenseLabels(np.zeros(3), 0), "num_classes must be >= 1"),
+    (lambda: DenseLabels(np.array([0, 2]), 2), "label index out of range"),
+    (lambda: TimestampAnnotations(np.array([1, 2]), np.array([0])),
+     "positions and classes must be equal-length 1-D arrays"),
+    (lambda: TimestampAnnotations(np.array([4, 4]), np.array([0, 1])),
+     "timestamp positions must be strictly increasing"),
+    (lambda: SyntheticSpec(**dict(SPEC, num_classes=1)), "need at least two classes"),
+    (lambda: SyntheticSpec(**dict(SPEC, length=0)), "all size fields must be positive"),
+    (lambda: SyntheticSpec(**dict(SPEC, seg_len_min=13)), "seg_len_min must be <= seg_len_max"),
+    (lambda: SyntheticSpec(**dict(SPEC, segment_jitter=-0.1)), "noise scales must be >= 0"),
+    (lambda: SyntheticSpec(**dict(SPEC, class_means=np.zeros((2, 3)))),
+     "class_means must be (num_classes, num_channels)"),
+], ids=["vector", "no-channels", "nan", "no-labels", "no-classes", "label-range", "ann-lengths",
+        "ann-order", "one-class", "length", "seg-lengths", "jitter", "class-means"])
+def test_data_model_refusals(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -669,7 +669,7 @@ def _sequences(lengths, seed=0):
 def test_predict_equals_a_sequential_loop_bitwise(monkeypatch, workers, dtype):
     state = _scoring_state(dtype)
     data = _sequences(PREDICT_LENGTHS)
-    want = [np.argmax(net_mod.probabilities(it.sequence.data, state.params, state.config.net)[-1],
+    want = [np.argmax(net_mod.forward(it.sequence.data, state.params, state.config.net).y_prob[-1],
                       axis=0) for it in data]
     threads = set()
     probabilities = net_mod.probabilities
@@ -686,6 +686,14 @@ def test_predict_equals_a_sequential_loop_bitwise(monkeypatch, workers, dtype):
     assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(trainer_mod.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 3)
+    assert trainer_mod._cpus() == 3
+    monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: None)  # count unknown
+    assert trainer_mod._cpus() == 1
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_predict_raises_the_first_failing_sequence_and_ends_its_threads(monkeypatch, workers):
     state = _scoring_state(np.float64)
@@ -695,7 +703,7 @@ def test_predict_raises_the_first_failing_sequence_and_ends_its_threads(monkeypa
         t = data[i].sequence.num_samples
         data[i] = LabeledSequence(SensorSequence(np.ones((channels, t))), data[i].labels)
     with pytest.raises(ValueError) as first:
-        net_mod.probabilities(data[1].sequence.data, state.params, state.config.net)
+        net_mod.forward(data[1].sequence.data, state.params, state.config.net)
     monkeypatch.setattr(trainer_mod, "_cpus", lambda: workers)
     before = threading.active_count()
     with pytest.raises(ValueError) as raised:
