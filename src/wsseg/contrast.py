@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seqdata import index_array
+
 TAU = 0.1  # the InfoNCE temperature in training
 
 
@@ -38,7 +40,7 @@ class ContrastBatch:
     neg: np.ndarray  # (A, C) negative mask
 
     def __post_init__(self):
-        self.anchors = np.asarray(self.anchors, dtype=np.int64)
+        self.anchors = index_array(self.anchors, "anchors")
         self.pos_w = np.asarray(self.pos_w, dtype=np.float64)
         self.neg = np.asarray(self.neg, dtype=bool)
         if self.pos_w.ndim != 2 or self.pos_w.shape != self.neg.shape \
@@ -186,6 +188,7 @@ def info_nce(batch, vn, bank):
     a = len(batch)
     loss = float((np.log(total) + shift - s_pos).sum() / a)
     coef = ((e_pos / total - 1.0)[:, None] * batch.pos_w + e_neg / total[:, None]) / (TAU * a)
-    d_vn = np.zeros_like(vn)
-    np.add.at(d_vn.T, batch.anchors, coef @ bank.p)
-    return loss, d_vn
+    # np.add.at on C-contiguous (T, dim) rows; through a transpose it is slow
+    d_rows = np.zeros(vn.shape[::-1], dtype=vn.dtype)
+    np.add.at(d_rows, batch.anchors, coef @ bank.p)
+    return loss, np.ascontiguousarray(d_rows.T)

@@ -38,10 +38,10 @@ class LossWeights:
                 "conf": self.lambda_conf}.get(term, 1.0)
 
 
-def l_seg_timestamps(y_prob, positions, classes):
-    """Mean cross-entropy over the annotated positions."""
-    positions = np.asarray(positions, dtype=np.int64)
-    classes = np.asarray(classes, dtype=np.int64)
+def l_seg_timestamps(y_prob, annotations):
+    """Mean cross-entropy over the annotated positions of the
+    ``TimestampAnnotations`` ``annotations``."""
+    positions, classes = annotations.positions, annotations.classes
     if positions.size == 0:
         raise ValueError("need at least one annotated position")
     probs = y_prob[classes, positions]
@@ -83,21 +83,18 @@ def l_smooth(y_prob, tau_trunc):
     return loss, grad
 
 
-def l_conf(y_prob, positions, classes):
-    """Confidence penalty: around each timestamp, the annotated class's
+def l_conf(y_prob, annotations):
+    """Confidence penalty: around each timestamp of the
+    ``TimestampAnnotations`` ``annotations``, the annotated class's
     log-probability must not increase while moving away from it.
 
     Each timestamp n contributes hinges over (t_{n-1}, t_{n+1}] (clamped
     at the flanks); the total is divided by T' = 2 (t_N - t_1). Undefined
     for fewer than two timestamps, which raises ``ValueError``.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    classes = np.asarray(classes, dtype=np.int64)
-    n = positions.size
-    if n < 2:
+    positions, classes = annotations.positions, annotations.classes
+    if positions.size < 2:
         raise ValueError("confidence loss needs at least two timestamps")
-    if np.any(np.diff(positions) <= 0):
-        raise ValueError("timestamp positions must be strictly increasing")
     t_prime = 2.0 * (positions[-1] - positions[0])
     clamped = np.maximum(y_prob, CLAMP)
     logp = np.log(clamped)

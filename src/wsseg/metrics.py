@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seqdata import index_array
+
 # The five scores of a report, in the order of every row, log and table of them.
 SCORES = ("acc", "f_m", "ji", "iou", "o_u")
 
@@ -47,12 +49,9 @@ class EvalReport:
 
 
 def _check_pair(pred, truth, num_classes):
-    pred, truth = np.asarray(pred), np.asarray(truth)
+    pred, truth = index_array(pred, "prediction"), index_array(truth, "truth")
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
         raise ValueError("prediction and truth must be equal-length non-empty 1-D label arrays")
-    if pred.dtype.kind not in "iu" or truth.dtype.kind not in "iu":
-        raise ValueError("labels must be integer class indices")
-    pred, truth = pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
     if min(pred.min(), truth.min()) < 0:
         raise ValueError("labels must be non-negative class indices")
     if max(pred.max(), truth.max()) >= num_classes:

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seqdata import index_array
+
 MOMENTUM = 0.9  # the weight of a fresh estimate in training's bank update
 
 
@@ -35,7 +37,7 @@ def estimate_prototype(v, cam_row, mask, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mask = np.asarray(mask, dtype=np.int64)
+    mask = index_array(mask, "mask")
     if mask.size == 0:
         return None
     weights = np.asarray(cam_row)[mask]

@@ -17,6 +17,17 @@ import numpy as np
 from .net import check_fields
 
 
+def index_array(values, name):
+    """``values`` as an int64 index array, never truncated. A non-empty
+    array whose dtype is not an integer kind (floats, booleans) raises a
+    ``ValueError`` that calls it ``name``; an empty one passes at any dtype,
+    since numpy builds empty arrays as floats."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer indices, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass
 class SensorSequence:
     data: np.ndarray  # (D, T)
@@ -40,11 +51,11 @@ class DenseLabels:
     num_classes: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1 or self.labels.size < 1:
-            raise ValueError("labels must be a non-empty 1-D array")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
+        self.labels = index_array(self.labels, "labels")
+        if self.labels.ndim != 1 or self.labels.size < 1:
+            raise ValueError("labels must be a non-empty 1-D array")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError("label index out of range")
 
@@ -72,8 +83,8 @@ class TimestampAnnotations:
     classes: np.ndarray  # (N,) int, nonnegative
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        self.classes = np.asarray(self.classes, dtype=np.int64)
+        self.positions = index_array(self.positions, "positions")
+        self.classes = index_array(self.classes, "classes")
         if self.positions.shape != self.classes.shape or self.positions.ndim != 1:
             raise ValueError("positions and classes must be equal-length 1-D arrays")
         if np.any(self.positions < 0) or np.any(self.classes < 0):
@@ -176,9 +187,10 @@ def segments_of(labels):
     """The maximal runs of equal class of the 1-D label array ``labels``,
     as int64 arrays ``(classes, starts, stops)``; stops are exclusive and
     the runs tile ``[0, T)``."""
+    labels = index_array(labels, "labels")
     starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
     stops = np.append(starts[1:], labels.size)
-    return labels[starts].astype(np.int64), starts, stops
+    return labels[starts], starts, stops
 
 
 def sample_timestamps(labels, seed):

@@ -419,13 +419,11 @@ def _crop_objective(crop, outputs, state, y_tilde):
         if y_tilde is not None:
             terms = [("segall", losses_mod.l_seg_all(y, y_tilde))]
         else:
-            terms = [("seg", losses_mod.l_seg_timestamps(
-                y, crop.supervised.positions, crop.supervised.classes
-            ))]
+            terms = [("seg", losses_mod.l_seg_timestamps(y, crop.supervised))]
         if weights.weight("smooth") > 0 and y.shape[1] >= 2:
             terms.append(("smooth", losses_mod.l_smooth(y, losses_mod.TAU_TRUNC)))
         if weights.weight("conf") > 0 and len(crop.ann) >= 2:
-            terms.append(("conf", losses_mod.l_conf(y, crop.ann.positions, crop.ann.classes)))
+            terms.append(("conf", losses_mod.l_conf(y, crop.ann)))
         for key, (val, g) in terms:
             parts[key] += val / stages
             dy[s] += weights.weight(key) * g / stages

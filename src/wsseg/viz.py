@@ -4,8 +4,6 @@ Self-contained string assembly; no plotting dependency. Colors come from a
 deterministic palette over the class count.
 """
 
-import numpy as np
-
 from .seqdata import DenseLabels, segments_of
 
 
@@ -20,8 +18,9 @@ def class_color(index, num_classes):
 def segmentation_ribbon_svg(rows, num_classes):
     """Render named label rows (e.g. truth vs prediction) as color bands.
 
-    ``rows`` is a list of (name, labels) with labels as int arrays of equal
-    length. Returns the SVG document as a string.
+    ``rows`` is a list of (name, labels), each labels a valid
+    ``DenseLabels`` array of ``num_classes``, all of one length. Returns
+    the SVG document as a string.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -33,14 +32,14 @@ def segmentation_ribbon_svg(rows, num_classes):
         f' height="{height}" font-family="monospace" font-size="11">'
     ]
     for r, (name, labels) in enumerate(rows):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = DenseLabels(labels, num_classes).labels
         if labels.size != t_len:
             raise ValueError("all rows must have the same length")
         y = gap + r * (band_height + gap)
         parts.append(
             f'<text x="2" y="{y + band_height * 0.65:.1f}">{name}</text>'
         )
-        for c, start, stop in zip(*segments_of(DenseLabels(labels, num_classes).labels)):
+        for c, start, stop in zip(*segments_of(labels)):
             x0 = label_w + start / t_len * width
             x1 = label_w + stop / t_len * width
             parts.append(

@@ -99,12 +99,10 @@ def test_criterion_1_gradients():
     started = time.monotonic()
     rng = np.random.default_rng(101)
     y = rng.dirichlet(np.ones(3), size=12).T.copy()
-    positions = np.array([1, 5, 9])
-    classes = np.array([2, 0, 1])
+    ann = TimestampAnnotations(np.array([1, 5, 9]), np.array([2, 0, 1]))
 
-    _, g = l_seg_timestamps(y, positions, classes)
-    assert_grad_close(g, central_difference(
-        lambda: l_seg_timestamps(y, positions, classes)[0], y))
+    _, g = l_seg_timestamps(y, ann)
+    assert_grad_close(g, central_difference(lambda: l_seg_timestamps(y, ann)[0], y))
 
     tilde = rng.dirichlet(np.ones(3), size=12).T
     _, g = l_seg_all(y, tilde)
@@ -113,9 +111,8 @@ def test_criterion_1_gradients():
     _, g = l_smooth(y, 0.5)
     assert_grad_close(g, central_difference(lambda: l_smooth(y, 0.5)[0], y))
 
-    _, g = l_conf(y, positions, classes)
-    assert_grad_close(g, central_difference(
-        lambda: l_conf(y, positions, classes)[0], y))
+    _, g = l_conf(y, ann)
+    assert_grad_close(g, central_difference(lambda: l_conf(y, ann)[0], y))
 
     logits = rng.standard_normal(5)
     targets = (rng.random(5) > 0.5).astype(float)

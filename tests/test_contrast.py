@@ -127,6 +127,11 @@ def test_contrast_batch_rejects_mismatched_shapes():
         ContrastBatch([0], np.zeros((1, 3)), np.zeros((1, 2), dtype=bool))
 
 
+def test_contrast_batch_refuses_anchors_that_are_not_integer():
+    with pytest.raises(ValueError, match="anchors must be integer indices"):
+        ContrastBatch([0.5, 2.0], np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
+
+
 def test_contrast_batch_length_is_pair_count():
     batch = to_batch([(0, (0,), (1.0,), (1,)), (0, (1, 2), (0.5, 0.5), (0,))], 3)
     assert len(batch) == 2 and batch
@@ -200,6 +205,38 @@ def test_info_nce_gradient_matches_finite_differences(rng):
     loss, grad = info_nce(batch, vn, bank)
     numeric = central_difference(lambda: info_nce(batch, vn, bank)[0], vn, step=1e-4)
     assert_grad_close(grad, numeric)
+
+
+def test_info_nce_gradient_is_the_strided_accumulation_bitwise():
+    """The row accumulation gives the bits of ``np.add.at`` on the
+    transposed gradient, repeated anchors included, and a C-contiguous
+    result."""
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        t_len, c, dim = int(rng.integers(2, 60)), int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        vn = _unit_rows(rng, t_len, dim).T
+        bank = _bank(_unit_rows(rng, c, dim))
+        a = int(rng.integers(1, 3 * t_len))
+        anchors = rng.integers(0, t_len, size=a)  # repeats certain for a > t_len
+        pos = rng.integers(0, c, size=a)
+        pos_w = np.zeros((a, c))
+        pos_w[np.arange(a), pos] = 1.0
+        neg = rng.random((a, c)) < 0.5
+        neg[np.arange(a), pos] = False
+        batch = ContrastBatch(anchors, pos_w, neg)
+        _, got = info_nce(batch, vn, bank)
+        # the coefficients of info_nce, scattered onto the strided transpose
+        logits = vn[:, anchors].T @ bank.p.T / TAU
+        s_pos = (pos_w * logits).sum(axis=1)
+        s_neg = np.where(neg, logits, -np.inf)
+        shift = np.maximum(s_pos, s_neg.max(axis=1))
+        e_pos, e_neg = np.exp(s_pos - shift), np.exp(s_neg - shift[:, None])
+        total = e_pos + e_neg.sum(axis=1)
+        coef = ((e_pos / total - 1.0)[:, None] * pos_w + e_neg / total[:, None]) / (TAU * a)
+        want = np.zeros_like(vn)
+        np.add.at(want.T, anchors, coef @ bank.p)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_info_nce_mixture_positive_uses_weighted_vector(rng):

@@ -13,6 +13,7 @@ from wsseg.losses import (
     l_seg_timestamps,
     l_smooth,
 )
+from wsseg.seqdata import TimestampAnnotations
 
 from conftest import assert_grad_close, central_difference
 from loop_reference import l_conf_loop
@@ -30,28 +31,28 @@ def test_seg_timestamps_perfect_prediction_zero():
     y[1, 2] = 1.0
     y[0, 4] = 1.0
     y[2, :] = 1e-30  # other columns irrelevant
-    assert l_seg_timestamps(y, [2, 4], [1, 0])[0] == 0.0
+    assert l_seg_timestamps(y, TimestampAnnotations([2, 4], [1, 0]))[0] == 0.0
 
 
 def test_seg_timestamps_uniform_log_c():
     y = np.full((4, 6), 0.25)
-    np.testing.assert_allclose(l_seg_timestamps(y, [1, 3], [0, 2])[0], np.log(4.0), rtol=1e-12)
+    got = l_seg_timestamps(y, TimestampAnnotations([1, 3], [0, 2]))[0]
+    np.testing.assert_allclose(got, np.log(4.0), rtol=1e-12)
 
 
 def test_seg_timestamps_scalar_oracle():
     y = np.zeros((2, 4))
     y[0, 1] = 0.5
     y[1, 3] = 0.25
-    got = l_seg_timestamps(y, [1, 3], [0, 1])[0]
+    got = l_seg_timestamps(y, TimestampAnnotations([1, 3], [0, 1]))[0]
     np.testing.assert_allclose(got, (np.log(2.0) + np.log(4.0)) / 2.0, rtol=1e-12)
 
 
 def test_seg_timestamps_gradient(rng):
     y = _probs(rng)
-    positions = np.array([0, 4, 9])
-    classes = np.array([2, 0, 1])
-    _, grad = l_seg_timestamps(y, positions, classes)
-    numeric = central_difference(lambda: l_seg_timestamps(y, positions, classes)[0], y)
+    ann = TimestampAnnotations(np.array([0, 4, 9]), np.array([2, 0, 1]))
+    _, grad = l_seg_timestamps(y, ann)
+    numeric = central_difference(lambda: l_seg_timestamps(y, ann)[0], y)
     assert_grad_close(grad, numeric)
 
 
@@ -81,7 +82,7 @@ def test_seg_all_reduces_to_seg_on_one_hot(rng):
     tilde = np.zeros_like(y)
     tilde[labels, np.arange(12)] = 1.0
     via_soft = l_seg_all(y, tilde)[0]
-    via_hard = l_seg_timestamps(y, np.arange(12), labels)[0]
+    via_hard = l_seg_timestamps(y, TimestampAnnotations(np.arange(12), labels))[0]
     np.testing.assert_allclose(via_soft, via_hard, rtol=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_conf_unimodal_peak_zero():
     y[0] = 0.5 * np.exp(-0.3 * np.abs(idx - 3))
     y[1] = 0.5 * np.exp(-0.3 * np.abs(idx - 9))
     y[2] = 1.0 - y[0] - y[1]
-    assert l_conf(y, [3, 9], [0, 1])[0] == 0.0
+    assert l_conf(y, TimestampAnnotations([3, 9], [0, 1]))[0] == 0.0
 
 
 def test_conf_single_violation_oracle():
@@ -145,7 +146,7 @@ def test_conf_single_violation_oracle():
     y[0, 5] = 0.4 * np.exp(0.2)  # rise of 0.2 in log space right of t_1
     y[1, :] = 0.3  # the annotated neighbor class stays flat
     y[2] = 1.0 - y[0] - y[1]  # unannotated class absorbs the bump
-    got = l_conf(y, positions, [0, 1])[0]
+    got = l_conf(y, TimestampAnnotations(positions, [0, 1]))[0]
     np.testing.assert_allclose(got, 0.2 / 20.0, rtol=1e-9)
 
 
@@ -158,10 +159,9 @@ def test_conf_mirror_symmetry():
     y_left[0, mid - 3] = 0.4 * np.exp(0.15)
     for y in (y_right, y_left):
         y[1] = 1.0 - y[0]
-    ann_p = [2, mid, t - 3]
-    ann_c = [0, 0, 0]
-    a = l_conf(y_right, ann_p, ann_c)[0]
-    b = l_conf(y_left, ann_p, ann_c)[0]
+    ann = TimestampAnnotations([2, mid, t - 3], [0, 0, 0])
+    a = l_conf(y_right, ann)[0]
+    b = l_conf(y_left, ann)[0]
     np.testing.assert_allclose(a, b, rtol=1e-12)
     assert a > 0.0
 
@@ -170,22 +170,22 @@ def test_conf_below_two_timestamps_raises():
     y = np.full((2, 6), 0.5)
     for positions, classes in (([3], [0]), ([], [])):
         with pytest.raises(ValueError, match="two timestamps"):
-            l_conf(y, positions, classes)
+            l_conf(y, TimestampAnnotations(positions, classes))
 
 
 def test_conf_rejects_unordered_timestamps():
+    # the annotation type refuses them before l_conf can see them
     y = np.full((2, 8), 0.5)
     for positions in ([5, 2], [3, 3]):
-        with pytest.raises(ValueError):
-            l_conf(y, positions, [0, 1])
+        with pytest.raises(ValueError, match="timestamp positions must be strictly increasing"):
+            l_conf(y, TimestampAnnotations(positions, [0, 1]))
 
 
 def test_conf_gradient(rng):
     y = _probs(rng)
-    positions = np.array([1, 5, 10])
-    classes = np.array([0, 2, 1])
-    _, grad = l_conf(y, positions, classes)
-    numeric = central_difference(lambda: l_conf(y, positions, classes)[0], y)
+    ann = TimestampAnnotations(np.array([1, 5, 10]), np.array([0, 2, 1]))
+    _, grad = l_conf(y, ann)
+    numeric = central_difference(lambda: l_conf(y, ann)[0], y)
     assert_grad_close(grad, numeric)
 
 
@@ -200,9 +200,10 @@ def test_conf_matches_loop_reference():
         n = int(rng.integers(2, min(t, 10) + 1))
         positions = np.sort(rng.choice(t, size=n, replace=False))
         classes = rng.integers(0, c, size=n)
-        loss, grad = l_conf(y, positions, classes)
+        ann = TimestampAnnotations(positions, classes)
+        loss, grad = l_conf(y, ann)
         want_loss, want_grad = l_conf_loop(y, positions, classes)
-        assert loss == l_conf(y, positions, classes)[0]
+        assert loss == l_conf(y, ann)[0]
         np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
 
@@ -217,10 +218,9 @@ def test_conf_gradient_random_problems():
         n = int(rng.integers(2, min(t, 5) + 1))
         positions = np.sort(rng.choice(t, size=n, replace=False))
         classes = rng.integers(0, c, size=n)
-        _, grad = l_conf(y, positions, classes)
-        numeric = central_difference(
-            lambda: l_conf(y, positions, classes)[0], y, step=1e-6
-        )
+        ann = TimestampAnnotations(positions, classes)
+        _, grad = l_conf(y, ann)
+        numeric = central_difference(lambda: l_conf(y, ann)[0], y, step=1e-6)
         assert_grad_close(grad, numeric)
 
 
@@ -320,16 +320,16 @@ def test_weights_reject_a_value_that_is_not_a_number(name, value):
 def test_all_losses_nonnegative_random(rng):
     for _ in range(25):
         y = _probs(rng)
-        assert l_seg_timestamps(y, [0, 5], [1, 2])[0] >= 0.0
+        assert l_seg_timestamps(y, TimestampAnnotations([0, 5], [1, 2]))[0] >= 0.0
         assert l_seg_all(y, rng.dirichlet(np.ones(3), size=12).T)[0] >= 0.0
         assert l_smooth(y, 4.0)[0] >= 0.0
-        assert l_conf(y, [2, 8], [0, 1])[0] >= 0.0
+        assert l_conf(y, TimestampAnnotations([2, 8], [0, 1]))[0] >= 0.0
         assert l_cls(rng.standard_normal(3), rng.integers(0, 2, size=3))[0] >= 0.0
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: LossWeights(lambda_s=-0.1), "loss weights must be nonnegative"),
-    (lambda: l_seg_timestamps(np.full((3, 4), 1 / 3), [], []),
+    (lambda: l_seg_timestamps(np.full((3, 4), 1 / 3), TimestampAnnotations([], [])),
      "need at least one annotated position"),
     (lambda: l_seg_all(np.full((3, 4), 1 / 3), np.full((3, 5), 1 / 3)),
      "prediction and pseudo-label shapes differ"),

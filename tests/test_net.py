@@ -1,5 +1,7 @@
 """Network forward contracts and finite-difference gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,32 @@ def test_a_reused_workspace_gives_the_bits_of_a_new_one(dtype):
         own = net.Workspace(config, t_len, dtype)
         for p, q in zip(reused, net.probabilities(x, params, config, own)):
             assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stages", [1, 2])
+def test_a_scoring_pass_allocates_nothing_per_layer(stages, dtype):
+    """Every layer of ``net.probabilities`` writes over its caller's
+    workspace, so a warm call peaks at the same traced byte count at 3 and
+    at 7 layers per stage, below the size of one feature map; threaded
+    scoring relies on it (a pass that allocated per layer made worker
+    arenas trim and grow their heaps)."""
+    t_len, features = 700, 32
+    x = np.random.default_rng(0).standard_normal((2, t_len))
+    peaks = []
+    for layers in (3, 7):
+        config = net.TcnConfig(in_dim=2, num_classes=3, stages=stages, layers_per_stage=layers,
+                               feature_dim=features, projector_dim=3)
+        params = _params(config, 0, dtype)
+        workspace = net.Workspace(config, t_len, dtype)
+        net.probabilities(x, params, config, workspace)
+        tracemalloc.start()
+        try:
+            net.probabilities(x, params, config, workspace)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1] < features * t_len * np.dtype(dtype).itemsize
 
 
 def test_a_workspace_refuses_a_longer_sequence_or_another_dtype():

@@ -79,3 +79,11 @@ def test_update_bank_range_error():
 def test_estimate_prototype_refuses_k_below_one(k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         estimate_prototype(np.ones((2, 3)), np.ones(3), np.array([0, 1]), k=k)
+
+
+@pytest.mark.parametrize("mask", [np.array([0.5, 2.0]), np.array([True, False, True])],
+                         ids=["float", "bool"])
+def test_estimate_prototype_refuses_a_mask_that_is_not_integer(mask):
+    # a boolean mask used to be cast to the indices 0 and 1
+    with pytest.raises(ValueError, match="mask must be integer indices"):
+        estimate_prototype(np.ones((2, 3)), np.ones(3), mask, k=2)

@@ -12,6 +12,7 @@ from wsseg.seqdata import (
     SyntheticSpec,
     TimestampAnnotations,
     generate_synthetic,
+    index_array,
     load_sequence,
     sample_timestamps,
     segments_of,
@@ -191,6 +192,12 @@ def test_sequence_multilabel_range_error():
         sequence_multilabel(ann, 3)
 
 
+def test_empty_indices_pass_at_any_dtype():
+    ann = TimestampAnnotations([], [])
+    assert len(ann) == 0 and ann.positions.dtype == ann.classes.dtype == np.int64
+    assert index_array(np.zeros((0, 3)), "x").dtype == np.int64
+
+
 def test_annotations_reject_negative_positions_and_classes():
     for positions, classes in (([0, 4], [-1, 1]), ([-2, 4], [0, 1]), ([-1], [0])):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -266,6 +273,16 @@ SPEC = dict(num_classes=3, num_channels=2, length=60, seg_len_min=5, seg_len_max
     (lambda: DenseLabels(np.zeros(0), 2), "labels must be a non-empty 1-D array"),
     (lambda: DenseLabels(np.zeros(3), 0), "num_classes must be >= 1"),
     (lambda: DenseLabels(np.array([0, 2]), 2), "label index out of range"),
+    (lambda: DenseLabels(np.array([0.7, 1.9]), 2),
+     "labels must be integer indices, got dtype float64"),
+    (lambda: DenseLabels(np.array([True, False]), 2),
+     "labels must be integer indices, got dtype bool"),
+    (lambda: TimestampAnnotations([1.6, 3.2], [0.5, 1.9]),
+     "positions must be integer indices, got dtype float64"),
+    (lambda: TimestampAnnotations([1, 3], [0.0, 1.0]),
+     "classes must be integer indices, got dtype float64"),
+    (lambda: segments_of(np.array([0.2, 0.2, 1.7])),
+     "labels must be integer indices, got dtype float64"),
     (lambda: TimestampAnnotations(np.array([1, 2]), np.array([0])),
      "positions and classes must be equal-length 1-D arrays"),
     (lambda: TimestampAnnotations(np.array([4, 4]), np.array([0, 1])),
@@ -276,8 +293,9 @@ SPEC = dict(num_classes=3, num_channels=2, length=60, seg_len_min=5, seg_len_max
     (lambda: SyntheticSpec(**dict(SPEC, segment_jitter=-0.1)), "noise scales must be >= 0"),
     (lambda: SyntheticSpec(**dict(SPEC, class_means=np.zeros((2, 3)))),
      "class_means must be (num_classes, num_channels)"),
-], ids=["vector", "no-channels", "nan", "no-labels", "no-classes", "label-range", "ann-lengths",
-        "ann-order", "one-class", "length", "seg-lengths", "jitter", "class-means"])
+], ids=["vector", "no-channels", "nan", "no-labels", "no-classes", "label-range", "float-labels",
+        "bool-labels", "float-positions", "float-classes", "float-runs", "ann-lengths", "ann-order",
+        "one-class", "length", "seg-lengths", "jitter", "class-means"])
 def test_data_model_refusals(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()

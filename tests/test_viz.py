@@ -16,7 +16,8 @@ def test_ribbon_has_one_band_per_row_and_segment():
     ([], "need at least one row"),
     ([("truth", np.zeros(4, dtype=np.int64)), ("pred", np.zeros(3, dtype=np.int64))],
      "all rows must have the same length"),
-], ids=["no-rows", "lengths"])
+    ([("pred", np.array([0.2, 1.7]))], "labels must be integer indices"),
+], ids=["no-rows", "lengths", "float-labels"])
 def test_ribbon_refusals(rows, message):
     with pytest.raises(ValueError, match=message):
         segmentation_ribbon_svg(rows, 3)
